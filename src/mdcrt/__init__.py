@@ -49,7 +49,6 @@ from .residue import (
     folding_vector,
     in_fpd,
     mod_reduce,
-    mod_reduce_floor,
     residue_set,
     uniform_residue,
 )

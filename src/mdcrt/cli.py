@@ -129,18 +129,46 @@ def emit_csv(rows, header, out, meta: dict) -> None:
             fh.write(text)
 
 
+def _positive(kind):
+    """argparse type: a number of ``kind`` that is strictly positive."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
+    return values
+
+
 def _parse_taus(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = [int(p) for p in spec.split(":")]
-        if len(parts) == 2:
-            start, stop = parts
-            step = 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise UsageError("range must be start:stop[:step]")
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in spec.split(",") if p.strip()]
+    if ":" not in spec:
+        return _int_list(spec)
+    parts = spec.split(":")
+    if len(parts) == 2:
+        parts.append("1")
+    try:
+        start, stop, step = map(int, parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range must be start:stop[:step] of integers, got {spec!r}"
+        ) from None
+    if step == 0:
+        raise argparse.ArgumentTypeError("range step must be nonzero")
+    return list(range(start, stop + 1, step))
 
 
 def _norm_arg(s: str) -> Norm:
@@ -207,8 +235,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("fig1", help="robustness sweep over error bounds (CSV)")
     sp.add_argument("--config", help="JSON with custom cases")
-    sp.add_argument("--taus", default="0:30:2")
-    sp.add_argument("--trials", type=int, default=500)
+    sp.add_argument("--taus", type=_parse_taus, default="0:30:2")
+    sp.add_argument("--trials", type=_positive(int), default=500)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     sp.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
@@ -217,8 +245,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("freqest", help="SNR sweep of sub-Nyquist frequency estimation (CSV)")
     sp.add_argument("--snr-start", type=float, default=-38.0)
     sp.add_argument("--snr-stop", type=float, default=-20.0)
-    sp.add_argument("--snr-step", type=float, default=2.0)
-    sp.add_argument("--trials", type=int, default=300)
+    sp.add_argument("--snr-step", type=_positive(float), default=2.0)
+    sp.add_argument("--trials", type=_positive(int), default=300)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--case",
@@ -227,7 +255,9 @@ def _build_parser() -> _Parser:
         help="repeatable; default runs base and doubled",
     )
     sp.add_argument("--custom-file", help="JSON cases file for --case custom")
-    sp.add_argument("--freq", help="comma-separated frequency, default 1645,1373")
+    sp.add_argument(
+        "--freq", type=_int_list, help="comma-separated frequency, default 1645,1373"
+    )
     sp.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     sp.add_argument("--out", help="output path (default stdout)")
     return p
@@ -345,7 +375,10 @@ def _cmd_lattice(args) -> int:
         raw = _load_json(args.cvp)
         if not isinstance(raw, list) or not raw:
             raise UsageError("target must be a nonempty JSON array")
-        target = [Fraction(str(x)) for x in raw]
+        try:
+            target = [Fraction(str(x)) for x in raw]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad target entry: {exc}") from exc
         point = cvp(basis, target, norm)
         _print_json({"closest": _vec_json(point), "norm": norm.value})
     return 0
@@ -384,9 +417,8 @@ def _cmd_fig1(args) -> int:
         if args.config
         else default_robust_cases()
     )
-    taus = _parse_taus(args.taus)
     rows = robustness_sweep(
-        cases, taus, args.trials, args.seed, args.algorithm, _norm_arg(args.norm)
+        cases, args.taus, args.trials, args.seed, args.algorithm, _norm_arg(args.norm)
     )
     emit_csv(
         rows,
@@ -414,11 +446,7 @@ def _cmd_freqest(args) -> int:
             cases.extend(_robust_cases_from_file(args.custom_file))
         else:
             cases.append((n, lookup[n]))
-    freq = (
-        IntVec([int(x) for x in args.freq.split(",")])
-        if args.freq
-        else default_freq
-    )
+    freq = IntVec(args.freq) if args.freq else default_freq
     snrs = []
     s = args.snr_start
     while s <= args.snr_stop + 1e-9:

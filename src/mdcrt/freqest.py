@@ -103,12 +103,8 @@ class SamplingPlan:
         self._vt = sf.v.T
         self._vt_inv = inv_unimodular(sf.v).T
 
-    def freq_digits(self, f: IntVec) -> tuple[int, ...]:
-        """Grid digits of the aliased frequency (peak location)."""
-        y = self._vt @ f
-        return tuple(e % l for e, l in zip(y, self.lambdas))
-
     def digits_of_bin(self, k: IntVec) -> tuple[int, ...]:
+        """Grid digits of bin k; for a frequency, its peak location."""
         y = self._vt @ k
         return tuple(e % l for e, l in zip(y, self.lambdas))
 
@@ -197,7 +193,7 @@ def sample_signal(
     plan = sampling_plan(modulus)
     if plan.size > default_enum_cap():
         raise EnumerationCapError("sampling modulus too large")
-    digits = plan.freq_digits(model.freq)
+    digits = plan.digits_of_bin(model.freq)
     axes = [
         np.exp(2j * np.pi * s * np.arange(l) / l)
         for s, l in zip(digits, plan.lambdas)

@@ -3,8 +3,8 @@
 The residue of m modulo M is the unique representative of m's class in
 the integer points of the fundamental parallelepiped of LAT(M). The
 production reduction path is the all-integer identity
-``r = M * ((adj(M) m mod det M) / det M)``; the rational floor path
-``n = floor(M^{-1} m)`` is kept as an independent cross check. Python's
+``r = M * ((adj(M) m mod det M) / det M)``; ``folding_vector`` is the
+rational floor ``n = floor(M^{-1} m)``, so that ``m == M n + r``. Python's
 ``%``/``//`` with a signed divisor give exactly the half-open conventions
 both formulas need, so no sign fixups appear anywhere.
 """
@@ -22,7 +22,6 @@ from .intmat import IntMat, IntVec, det_adjugate, inv_unimodular, smith
 __all__ = [
     "Residue",
     "mod_reduce",
-    "mod_reduce_floor",
     "folding_vector",
     "residue_set",
     "uniform_residue",
@@ -53,10 +52,6 @@ class Residue:
     modulus: IntMat
     value: IntVec
 
-    def validate(self) -> None:
-        if not in_fpd(self.value, self.modulus):
-            raise ValueError("value is not a residue of this modulus")
-
 
 def mod_reduce(m: IntVec, modulus: IntMat) -> Residue:
     """Reduce m into N(modulus) using only integer arithmetic."""
@@ -76,11 +71,6 @@ def folding_vector(m: IntVec, modulus: IntMat) -> IntVec:
     """Exact floor of modulus^{-1} m, so that m == modulus @ n + r."""
     d, adj = _reduce_ctx(modulus)
     return IntVec(e // d for e in adj @ m)
-
-
-def mod_reduce_floor(m: IntVec, modulus: IntMat) -> IntVec:
-    """Remainder via the rational-floor route; cross-check oracle."""
-    return m - modulus @ folding_vector(m, modulus)
 
 
 def in_fpd(m: IntVec, modulus: IntMat) -> bool:

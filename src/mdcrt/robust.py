@@ -1,21 +1,24 @@
 """Robust reconstruction from erroneous remainders.
 
 Moduli share a common left factor: moduli[i] == common @ cofactors[i],
-with the cofactors pairwise commuting and coprime. Remainder differences
-are denoised by snapping them to a lattice with an exact CVP, after which
-the folding vectors follow from one commuting-coprime reconstruction and
-back-substitution. Two variants exist and genuinely differ:
+with the cofactors pairwise commuting and coprime. One kernel recovers
+the folding vectors from any decomposition row @ common @ col == lam with
+row and col unimodular: each remainder difference against the reference
+is mapped through ``row`` and snapped to LAT(lam) with an exact CVP, one
+commuting-coprime reconstruction over the moduli col^{-1} @ cofactor_i
+aggregates the snapped coefficients, and back-substitution yields every
+folding vector. The two variants of the paper are two decompositions:
 
-* the lattice variant snaps r~_i - r~_1 to LAT(common);
-* the smith variant first maps differences through the unimodular row
-  transform of a Smith decomposition of ``common`` and snaps inside the
-  diagonal lattice. Because Smith transforms are not unique, the
+* the lattice variant, (I, common, I), snaps r~_i - r~_ref to LAT(common);
+* the smith variant, a Smith decomposition of ``common``, snaps inside
+  the diagonal lattice. Because Smith transforms are not unique, the
   decomposition is injectable, and the two variants can succeed on
   disjoint error patterns.
 
-Success means the folding vectors were reproduced exactly; when they are,
-averaging the per-modulus reconstructions keeps the output within the
-remainder error bound.
+Back-substitution is integral for every input; a violated snap condition
+yields integral but wrong folding vectors. When the folding vectors are
+right, averaging the per-modulus reconstructions keeps the output within
+the remainder error bound.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class RobustModuli:
     factor.
     """
 
-    def __init__(self, common: IntMat, cofactors: Sequence[IntMat], validate: bool = True):
+    def __init__(self, common: IntMat, cofactors: Sequence[IntMat]):
         cofactors = tuple(cofactors)
         if not cofactors:
             raise ShapeError("at least one cofactor required")
@@ -94,17 +97,16 @@ class RobustModuli:
                 raise ShapeError("cofactor shape differs from common factor")
             if det(g) == 0:
                 raise SingularMatrixError("cofactor is singular")
-        if validate:
-            for i in range(len(cofactors)):
-                for j in range(i + 1, len(cofactors)):
-                    if not commutes(cofactors[i], cofactors[j]):
-                        raise ConditionViolatedError(
-                            f"cofactors {i} and {j} do not commute"
-                        )
-                    if not is_left_coprime(cofactors[i], cofactors[j]):
-                        raise ConditionViolatedError(
-                            f"cofactors {i} and {j} are not coprime"
-                        )
+        for i in range(len(cofactors)):
+            for j in range(i + 1, len(cofactors)):
+                if not commutes(cofactors[i], cofactors[j]):
+                    raise ConditionViolatedError(
+                        f"cofactors {i} and {j} do not commute"
+                    )
+                if not is_left_coprime(cofactors[i], cofactors[j]):
+                    raise ConditionViolatedError(
+                        f"cofactors {i} and {j} are not coprime"
+                    )
         self.common = common
         self.cofactors = cofactors
         self._smith_solvers: dict[IntMat, CcSolver] = {}
@@ -129,16 +131,11 @@ class RobustModuli:
         return IntMat.identity(self.dim) if acc is None else acc
 
     @cached_property
-    def cc_solver(self) -> CcSolver:
-        """Solver for congruences modulo the cofactors themselves."""
-        return CcSolver(list(self.cofactors))
-
-    @cached_property
     def smith_form(self) -> SmithForm:
         return smith(self.common)
 
     def smith_solver(self, v: IntMat) -> CcSolver:
-        """Solver for moduli v^{-1} @ cofactor_i (v from a Smith form)."""
+        """Solver for moduli v^{-1} @ cofactor_i, cached per v."""
         solver = self._smith_solvers.get(v)
         if solver is None:
             solver = CcSolver(list(self.cofactors), prefix=inv_unimodular(v))
@@ -150,69 +147,68 @@ class RobustModuli:
 class RobustTrace:
     """Intermediate state of one folding-vector recovery.
 
-    ``cvp_points`` are the snapped remainder differences (entry 0 is the
-    zero reference), ``factor_residues`` the residues fed to the
-    commuting-coprime step, ``aggregate`` its solution. ``success`` only
-    records that every back-substitution was integral; a wrong-but-
-    integral answer is exactly what a violated snap condition produces.
+    ``cvp_points`` are the snapped remainder differences (zero at the
+    reference), ``factor_residues`` the residues fed to the
+    commuting-coprime step, ``aggregate`` its solution.
     """
 
-    algorithm: int
     cvp_points: tuple[IntVec, ...]
     factor_residues: tuple[IntVec, ...]
     aggregate: IntVec
     folding_vectors: tuple[IntVec, ...]
-    success: bool
-    smith_form: SmithForm | None = None
 
 
-def _check_inputs(rtilde: Sequence[IntVec], rm: RobustModuli, u: IntMat | None) -> IntMat:
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> IntMat:
+    return IntMat.identity(dim)
+
+
+def _recover(
+    rtilde: Sequence[IntVec],
+    rm: RobustModuli,
+    norm: Norm,
+    u: IntMat | None,
+    ref: int,
+    row: IntMat,
+    lam: IntMat,
+    col: IntMat,
+) -> RobustTrace:
+    """Folding vectors through the decomposition row @ common @ col == lam.
+
+    The snapped coefficient t_i = lam^{-1} cvp(lam, row (r~_i - r~_ref))
+    equals col^{-1} (G_ref n_ref - G_i n_i) when the snap is right. The
+    commuting-coprime solve over the moduli col^{-1} G_i, pinned to zero
+    at ``ref``, yields x = col^{-1} G_ref n_ref, and each folding vector
+    solves col^{-1} G_i n_i = x - t_i, which is integral by construction.
+    """
     if len(rtilde) != len(rm):
         raise ShapeError("one erroneous remainder per modulus required")
-    tail = IntMat.identity(rm.dim) if u is None else u
-    if not is_unimodular(tail):
-        raise ConditionViolatedError("range transform must be unimodular")
-    return tail
-
-
-class _NonIntegral(Exception):
-    """Back-substitution left the integers: the inputs cannot have come
-    from the declared moduli structure. The trace is marked failed."""
-
-
-def _back_substitute(g: IntMat, vec: IntVec) -> IntVec:
-    n = solve_integer(g, vec)
-    if n is None:
-        raise _NonIntegral
-    return n
-
-
-def _reordered(rm: RobustModuli, rtilde: Sequence[IntVec], ref: int):
     if not 0 <= ref < len(rm):
         raise IndexError("reference index out of range")
-    perm = [ref] + [i for i in range(len(rm)) if i != ref]
-    rm_perm = RobustModuli(
-        rm.common, [rm.cofactors[i] for i in perm], validate=False
-    )
-    return rm_perm, [rtilde[i] for i in perm], perm
-
-
-def _restore_order(trace: RobustTrace, perm: Sequence[int]) -> RobustTrace:
-    inverse = [0] * len(perm)
-    for pos, orig in enumerate(perm):
-        inverse[orig] = pos
-
-    def back(seq):
-        return tuple(seq[pos] for pos in inverse) if seq else seq
-
+    tail = _identity(rm.dim) if u is None else u
+    if not is_unimodular(tail):
+        raise ConditionViolatedError("range transform must be unimodular")
+    solver = rm.smith_solver(col)
+    zero = IntVec.zero(rm.dim)
+    points, coeffs, residues = [zero] * len(rm), [zero] * len(rm), [zero] * len(rm)
+    for i, r in enumerate(rtilde):
+        if i != ref:
+            points[i] = cvp(lam, (row @ (r - rtilde[ref])).entries, norm)
+            coeffs[i] = solve_integer(lam, points[i])
+            assert coeffs[i] is not None
+            residues[i] = mod_reduce(coeffs[i], solver.moduli[i]).value
+    aggregate = solver.solve(residues, tail=tail).m
+    foldings = []
+    for modulus, t in zip(solver.moduli, coeffs):
+        n = solve_integer(modulus, aggregate - t)
+        if n is None:
+            raise AssertionError("non-integral folding vector; broken invariant")
+        foldings.append(n)
     return RobustTrace(
-        algorithm=trace.algorithm,
-        cvp_points=back(trace.cvp_points),
-        factor_residues=back(trace.factor_residues),
-        aggregate=trace.aggregate,
-        folding_vectors=back(trace.folding_vectors),
-        success=trace.success,
-        smith_form=trace.smith_form,
+        cvp_points=tuple(points),
+        factor_residues=tuple(residues),
+        aggregate=aggregate,
+        folding_vectors=tuple(foldings),
     )
 
 
@@ -231,43 +227,8 @@ def folding_vectors_lattice(
     reference; back-substitution. ``ref`` re-anchors the subtraction (the
     recoverable range is the one indexed by it).
     """
-    if ref:
-        rm_p, rt_p, perm = _reordered(rm, rtilde, ref)
-        return _restore_order(
-            folding_vectors_lattice(rt_p, rm_p, norm, u, 0), perm
-        )
-    tail = _check_inputs(rtilde, rm, u)
-    dim = rm.dim
-    zero = IntVec.zero(dim)
-    points = [zero]
-    coeffs = [zero]
-    residues = [zero]
-    for i in range(1, len(rm)):
-        v = cvp(rm.common, (rtilde[i] - rtilde[0]).entries, norm)
-        c = solve_integer(rm.common, v)
-        assert c is not None
-        points.append(v)
-        coeffs.append(c)
-        residues.append(mod_reduce(c, rm.cofactors[i]).value)
-    aggregate = rm.cc_solver.solve(residues, tail=tail).m
-    try:
-        foldings = [_back_substitute(rm.cofactors[0], aggregate)]
-        for i in range(1, len(rm)):
-            foldings.append(
-                _back_substitute(rm.cofactors[i], aggregate - coeffs[i])
-            )
-    except _NonIntegral:
-        return RobustTrace(
-            1, tuple(points), tuple(residues), aggregate, (), success=False
-        )
-    return RobustTrace(
-        algorithm=1,
-        cvp_points=tuple(points),
-        factor_residues=tuple(residues),
-        aggregate=aggregate,
-        folding_vectors=tuple(foldings),
-        success=True,
-    )
+    identity = _identity(rm.dim)
+    return _recover(rtilde, rm, norm, u, ref, identity, rm.common, identity)
 
 
 def _validated_smith(rm: RobustModuli, smith_form: SmithForm | None) -> SmithForm:
@@ -302,47 +263,8 @@ def folding_vectors_smith(
     v^{-1} @ cofactor_i. Any valid decomposition may be supplied; the
     choice changes which error patterns are recoverable.
     """
-    if ref:
-        rm_p, rt_p, perm = _reordered(rm, rtilde, ref)
-        return _restore_order(
-            folding_vectors_smith(rt_p, rm_p, norm, u, smith_form, 0), perm
-        )
-    tail = _check_inputs(rtilde, rm, u)
     sf = _validated_smith(rm, smith_form)
-    solver = rm.smith_solver(sf.v)
-    dim = rm.dim
-    zero = IntVec.zero(dim)
-    points = [zero]
-    coeffs = [zero]
-    residues = [zero]
-    for i in range(1, len(rm)):
-        target = sf.u @ (rtilde[i] - rtilde[0])
-        p = cvp(sf.lam, target.entries, norm)
-        t = solve_integer(sf.lam, p)
-        assert t is not None
-        points.append(p)
-        coeffs.append(t)
-        residues.append(mod_reduce(t, solver.moduli[i]).value)
-    aggregate = solver.solve(residues, tail=tail).m
-    try:
-        foldings = [_back_substitute(rm.cofactors[0], sf.v @ aggregate)]
-        for i in range(1, len(rm)):
-            foldings.append(
-                _back_substitute(rm.cofactors[i], sf.v @ (aggregate - coeffs[i]))
-            )
-    except _NonIntegral:
-        return RobustTrace(
-            2, tuple(points), tuple(residues), aggregate, (), False, sf
-        )
-    return RobustTrace(
-        algorithm=2,
-        cvp_points=tuple(points),
-        factor_residues=tuple(residues),
-        aggregate=aggregate,
-        folding_vectors=tuple(foldings),
-        success=True,
-        smith_form=sf,
-    )
+    return _recover(rtilde, rm, norm, u, ref, sf.u, sf.lam, sf.v)
 
 
 def recover_folding_vectors(
@@ -367,7 +289,7 @@ def range_contains(
     """Membership of m in the recoverable range anchored at ``index``."""
     if not 0 <= index < len(rm):
         raise IndexError("modulus index out of range")
-    tail = IntMat.identity(rm.dim) if u is None else u
+    tail = _identity(rm.dim) if u is None else u
     region = rm.cofactor_product_except(index) @ tail
     return in_fpd(folding_vector(m, rm.moduli[index]), region)
 
@@ -466,8 +388,6 @@ def robust_reconstruct(
     round-half-up companion. With correct folding vectors the error of
     the average is bounded by the remainder error bound.
     """
-    if not trace.success:
-        raise ConditionViolatedError("cannot reconstruct from a failed trace")
     count = len(rm)
     totals = [0] * rm.dim
     for i in range(count):
@@ -526,7 +446,7 @@ def sample_in_range(
     """
     if not 0 <= index < len(rm):
         raise IndexError("modulus index out of range")
-    tail = IntMat.identity(rm.dim) if u is None else u
+    tail = _identity(rm.dim) if u is None else u
     region = rm.cofactor_product_except(index) @ tail
     n = uniform_residue(rng, region)
     r = uniform_residue(rng, rm.moduli[index])

@@ -2,7 +2,10 @@
 
 Oracles here deliberately avoid the package's computation paths: the
 cofactor determinant is a textbook recursive expansion, invariant factors
-come from gcds of minors, and residue enumeration scans a box.
+come from gcds of minors, and residue enumeration scans a box. Two
+oracles reuse package primitives along a different route: the remainder
+through the rational floor, and folding-vector recovery re-anchored by
+permuting the moduli.
 """
 
 from __future__ import annotations
@@ -108,6 +111,37 @@ def brute_force_residues(m: IntMat, reach: int = 12) -> set:
     for coords in itertools.product(range(-reach, reach + 1), repeat=m.rows):
         seen.add(mod_reduce(IntVec(coords), m).value)
     return seen
+
+
+def mod_reduce_floor(m: IntVec, modulus: IntMat) -> IntVec:
+    """Remainder via the rational-floor route m - M floor(M^{-1} m);
+    cross-check oracle for mod_reduce's all-integer route."""
+    from mdcrt import folding_vector
+
+    return m - modulus @ folding_vector(m, modulus)
+
+
+def recover_by_reordering(rtilde, rm, algorithm, norm, u=None, ref=0):
+    """Folding-vector recovery re-anchored by permutation: move ``ref`` to
+    the front, recover at reference 0, restore the order. Oracle for the
+    direct anchoring of recover_folding_vectors."""
+    from mdcrt import RobustModuli, RobustTrace, recover_folding_vectors
+
+    perm = [ref] + [i for i in range(len(rm)) if i != ref]
+    permuted = RobustModuli(rm.common, [rm.cofactors[i] for i in perm])
+    trace = recover_folding_vectors(
+        [rtilde[i] for i in perm], permuted, algorithm, norm, u
+    )
+
+    def back(seq):
+        return tuple(seq[perm.index(i)] for i in range(len(perm)))
+
+    return RobustTrace(
+        cvp_points=back(trace.cvp_points),
+        factor_residues=back(trace.factor_residues),
+        aggregate=trace.aggregate,
+        folding_vectors=back(trace.folding_vectors),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mdcrt
 from mdcrt.cli import emit_csv, main, parse_matrix_file
 from mdcrt import IntMat
 
@@ -153,6 +158,10 @@ def test_lattice_subcommand(tmp_path, bench, capsys):
     ident = write_json(tmp_path / "i.json", mat_strings([[1, 0], [0, 1]]))
     code, out, _ = run(capsys, "lattice", ident, "--cvp", frac)
     assert json.loads(out)["closest"] == ["1", "0"]
+    for entry in ("1/0", "x"):
+        bad = write_json(tmp_path / "bad.json", [entry, "0"])
+        code, _, err = run(capsys, "lattice", ident, "--cvp", bad)
+        assert code == 1 and err.startswith("error: bad target entry")
 
 
 def test_robust_subcommand(tmp_path, capsys):
@@ -224,3 +233,31 @@ def test_emit_csv_empty_rows(tmp_path):
 def test_usage_error_exit_code(capsys):
     assert main(["lattice"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--trials", "0"],
+        ["freqest", "--trials", "0"],
+        ["fig1", "--taus", "a"],
+        ["fig1", "--taus", "0:4:0"],
+        ["freqest", "--freq", "1,x"],
+        ["freqest", "--snr-step", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_numeric_arguments_rejected_at_parse_time(argv):
+    # a subprocess with a timeout, so that an input that loops forever
+    # fails the test instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(mdcrt.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdcrt", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -12,11 +12,15 @@ from mdcrt import (
     folding_vector,
     in_fpd,
     mod_reduce,
-    mod_reduce_floor,
     residue_set,
     uniform_residue,
 )
-from helpers import brute_force_residues, random_nonsingular, random_vector
+from helpers import (
+    brute_force_residues,
+    mod_reduce_floor,
+    random_nonsingular,
+    random_vector,
+)
 
 M_I = IntMat([[4, 3], [3, 4]])
 M_II = IntMat([[2, 3], [4, 5]])

@@ -13,6 +13,7 @@ from mdcrt import (
     Norm,
     RobustModuli,
     SmithForm,
+    circulant2_coprime,
     cvp,
     error_bound_lattice,
     error_bound_smith,
@@ -24,6 +25,7 @@ from mdcrt import (
     mod_reduce,
     operator_norm_upper,
     range_contains,
+    recover_folding_vectors,
     residue_set,
     robust_reconstruct,
     robustness_sweep,
@@ -31,6 +33,7 @@ from mdcrt import (
     sample_error,
     sample_in_range,
 )
+from helpers import recover_by_reordering
 
 BENCH = IntMat([[48, 17], [8, 46]])
 COFS = [IntMat([[1, 3], [3, 1]]), IntMat([[3, 4], [4, 3]])]
@@ -137,17 +140,40 @@ def test_pairwise_difference_under_half_minimum_succeeds():
 
 
 def test_reference_reindexing():
+    # smallest circulant coprime to both benchmark cofactors
+    p, q = next(
+        (p, q)
+        for p in range(1, 9)
+        for q in range(p + 1, 9)
+        if all(circulant2_coprime(p, q, a[0, 0], a[0, 1]) for a in COFS)
+    )
+    cases = [bench_case(), RobustModuli(BENCH, COFS + [IntMat([[p, q], [q, p]])])]
+    tail = IntMat([[1, 1], [0, 1]])
     rng = random.Random(15)
-    rm = bench_case()
-    for _ in range(20):
-        m = sample_in_range(rng, rm, index=1)
-        assert range_contains(m, rm, 1)
-        truth = tuple(folding_vector(m, mi) for mi in rm.moduli)
-        rs = [mod_reduce(m, mi).value for mi in rm.moduli]
-        t1 = folding_vectors_lattice(rs, rm, ref=1)
-        t2 = folding_vectors_smith(rs, rm, ref=1)
-        assert t1.folding_vectors == truth
-        assert t2.folding_vectors == truth
+    for rm in cases:
+        for ref in range(len(rm)):
+            for k in range(12):
+                u = tail if k >= 6 else None
+                norm = (Norm.L2, Norm.L1, Norm.LINF)[k % 3]
+                m = sample_in_range(rng, rm, index=ref, u=u)
+                assert range_contains(m, rm, ref, u)
+                truth = tuple(folding_vector(m, mi) for mi in rm.moduli)
+                tau = (0, 6, 12, 30)[k % 4]
+                rtilde = [
+                    mod_reduce(m, mi).value + sample_error(rng, ErrorModel(tau, norm), 2)
+                    for mi in rm.moduli
+                ]
+                for algorithm in (1, 2):
+                    trace = recover_folding_vectors(
+                        rtilde, rm, algorithm, norm, u, ref=ref
+                    )
+                    assert trace == recover_by_reordering(
+                        rtilde, rm, algorithm, norm, u, ref
+                    )
+                    assert trace.cvp_points[ref] == IntVec([0, 0])
+                    assert trace.factor_residues[ref] == IntVec([0, 0])
+                    if tau == 0:
+                        assert trace.folding_vectors == truth
 
 
 def test_sampler_seed_reproducibility():
@@ -241,7 +267,6 @@ def test_snap_condition_is_exact_iff():
         offset = rtilde[1] - rs[1]
         assert (cvp(rm.common, offset.entries) == IntVec([0, 0])) == expect
         trace = folding_vectors_lattice(rtilde, rm)
-        assert trace.success  # integral either way
         assert (trace.folding_vectors == truth) == expect
 
 
@@ -270,16 +295,6 @@ def test_operator_norm_upper():
     true = np.linalg.svd(np.array([[2, 1], [1, 1]], dtype=float))[1][0]
     assert float(sigma) >= true
     assert float(sigma) == pytest.approx(true, abs=1e-6)
-
-
-def test_reconstruct_requires_success():
-    rm = bench_case()
-    rng = random.Random(23)
-    _, _, rs = make_instance(rng, rm)
-    trace = folding_vectors_lattice(rs, rm)
-    object.__setattr__(trace, "success", False)
-    with pytest.raises(ConditionViolatedError):
-        robust_reconstruct(trace, rs, rm)
 
 
 def test_single_modulus_case():
