@@ -32,7 +32,6 @@ from .divisibility import (
     circulant2_coprime,
     commutes,
     gcld,
-    gcld_equivalent,
     gcrd,
     hermite_canonical,
     is_left_coprime,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ from .robust import (
 )
 
 __all__ = ["main", "emit_csv", "parse_matrix_file"]
+
+
+# most points an SNR grid may have; a finer grid is a usage error
+MAX_SNR_POINTS = 10_000
 
 
 class UsageError(Exception):
@@ -129,16 +134,17 @@ def emit_csv(rows, header, out, meta: dict) -> None:
             fh.write(text)
 
 
-def _positive(kind):
-    """argparse type: a number of ``kind`` that is strictly positive."""
+def _number(kind, positive=False):
+    """argparse type: a finite number of ``kind``, strictly positive when
+    ``positive`` is set."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (0 if positive else -math.inf) < value < math.inf:
+            raise argparse.ArgumentTypeError(f"out of range: {text!r}")
         return value
 
     return parse
@@ -236,17 +242,17 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("fig1", help="robustness sweep over error bounds (CSV)")
     sp.add_argument("--config", help="JSON with custom cases")
     sp.add_argument("--taus", type=_parse_taus, default="0:30:2")
-    sp.add_argument("--trials", type=_positive(int), default=500)
+    sp.add_argument("--trials", type=_number(int, positive=True), default=500)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     sp.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
     sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("freqest", help="SNR sweep of sub-Nyquist frequency estimation (CSV)")
-    sp.add_argument("--snr-start", type=float, default=-38.0)
-    sp.add_argument("--snr-stop", type=float, default=-20.0)
-    sp.add_argument("--snr-step", type=_positive(float), default=2.0)
-    sp.add_argument("--trials", type=_positive(int), default=300)
+    sp.add_argument("--snr-start", type=_number(float), default=-38.0)
+    sp.add_argument("--snr-stop", type=_number(float), default=-20.0)
+    sp.add_argument("--snr-step", type=_number(float, positive=True), default=2.0)
+    sp.add_argument("--trials", type=_number(int, positive=True), default=300)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--case",
@@ -434,7 +440,17 @@ def _cmd_fig1(args) -> int:
     return 0
 
 
+def _snr_grid(start: float, stop: float, step: float) -> list[float]:
+    """start + k * step up to stop (1e-9 slack), rounded to 10 decimals;
+    an integer count k keeps large or fine grids from stalling."""
+    count = math.floor((stop - start + 1e-9) / step) + 1
+    if count > MAX_SNR_POINTS:
+        raise UsageError(f"SNR grid of {count} points exceeds {MAX_SNR_POINTS}")
+    return [round(start + k * step, 10) for k in range(count)]
+
+
 def _cmd_freqest(args) -> int:
+    snrs = _snr_grid(args.snr_start, args.snr_stop, args.snr_step)
     default_freq, all_cases = default_sweep_cases()
     lookup = dict(all_cases)
     names = args.case or ["base", "doubled"]
@@ -447,11 +463,6 @@ def _cmd_freqest(args) -> int:
         else:
             cases.append((n, lookup[n]))
     freq = IntVec(args.freq) if args.freq else default_freq
-    snrs = []
-    s = args.snr_start
-    while s <= args.snr_stop + 1e-9:
-        snrs.append(round(s, 10))
-        s += args.snr_step
     rows = snr_sweep(freq, cases, snrs, args.trials, args.seed, args.algorithm)
     emit_csv(
         rows,

@@ -39,6 +39,7 @@ from .intmat import (
     IntMat,
     IntVec,
     det,
+    exact_left_quotient,
     inv_unimodular,
     is_unimodular,
     solve_integer,
@@ -70,8 +71,6 @@ class ResidueSystem:
         if not self.entries:
             raise ShapeError("a system needs at least one congruence")
         for modulus, remainder in self.entries:
-            if det(modulus) == 0:
-                raise SingularMatrixError("modulus is singular")
             if not in_fpd(remainder, modulus):
                 raise ConditionViolatedError(
                     "remainder is not reduced modulo its modulus"
@@ -224,11 +223,11 @@ def _bezout_inverse(w: IntMat, companion: IntMat) -> IntMat:
 class CcSolver:
     """Precomputed weighted-sum solver for one family of factor moduli.
 
-    Built from pairwise commuting, pairwise coprime ``factors`` and an
-    optional unimodular ``prefix``; it then solves any system whose i-th
-    modulus is prefix @ factors[i]. The per-congruence weights (product of
-    the other factors times a Bezout inverse) do not depend on the
-    remainders, so one instance amortizes over many systems.
+    Checks that the ``factors`` are nonsingular, commute pairwise and are
+    pairwise coprime (or, with supplied ``w_hats``, that each inverse
+    satisfies its Bezout identity) and that ``prefix`` is unimodular; it
+    then solves any system whose i-th modulus is prefix @ factors[i]. Its
+    weights do not depend on the remainders, so one instance amortizes.
     """
 
     def __init__(
@@ -236,7 +235,6 @@ class CcSolver:
         factors: Sequence[IntMat],
         prefix: IntMat | None = None,
         w_hats: Sequence[IntMat] | None = None,
-        check_coprime: bool = True,
     ):
         factors = list(factors)
         if not factors:
@@ -269,21 +267,17 @@ class CcSolver:
                 raise ShapeError("one w_hat per factor required")
             for i, wh in enumerate(self.w_hats):
                 residual = IntMat.identity(dim) - self._weight_matrix(i) @ wh
-                if not all(
-                    solve_integer(self.moduli[i], residual.col(j)) is not None
-                    for j in range(dim)
-                ):
+                if exact_left_quotient(self.moduli[i], residual) is None:
                     raise ConditionViolatedError(
                         f"supplied inverse {i} fails its Bezout identity"
                     )
         else:
-            if check_coprime:
-                for i in range(len(factors)):
-                    for j in range(i + 1, len(factors)):
-                        if not is_left_coprime(factors[i], factors[j]):
-                            raise ConditionViolatedError(
-                                f"factors {i} and {j} are not coprime"
-                            )
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    if not is_left_coprime(factors[i], factors[j]):
+                        raise ConditionViolatedError(
+                            f"factors {i} and {j} are not coprime"
+                        )
             self.w_hats = [
                 IntMat([[0] * dim for _ in range(dim)])
                 if is_unimodular(f)
@@ -345,7 +339,7 @@ def crt_explicit(
             raise ConditionViolatedError(
                 "factor does not left-divide its modulus"
             )
-    solver = CcSolver(factors, w_hats=w_hats, check_coprime=w_hats is None)
+    solver = CcSolver(factors, w_hats=w_hats)
     if w_hats is None and not lattices_equal(
         solver.factor_product, lcrm_list(system.moduli, canonical=False)
     ):
@@ -374,9 +368,7 @@ def crt_cc(
         raise ConditionViolatedError("prefix must be unimodular")
     pinv = inv_unimodular(prefix)
     gammas = [pinv @ m for m in system.moduli]
-    solver = CcSolver(
-        gammas, prefix=prefix, w_hats=w_hats, check_coprime=w_hats is None
-    )
+    solver = CcSolver(gammas, prefix=prefix, w_hats=w_hats)
     return solver.solve(system.remainders, tail)
 
 
@@ -431,21 +423,11 @@ def crt_diagonalized(
         if det(lam) == 0:
             raise SingularMatrixError("diagonal factor is singular")
 
-    u_inv = inv_unimodular(u)
-    x = u_inv @ system.moduli[0]
-    v_rows = []
-    for j in range(dim):
-        pivot = lambdas[0][j, j]
-        row = []
-        for c in range(dim):
-            q, rem = divmod(x[j, c], pivot)
-            if rem:
-                raise ConditionViolatedError(
-                    "first modulus does not factor through u and its diagonal"
-                )
-            row.append(q)
-        v_rows.append(row)
-    v = IntMat(v_rows)
+    v = exact_left_quotient(u @ lambdas[0], system.moduli[0])
+    if v is None:
+        raise ConditionViolatedError(
+            "first modulus does not factor through u and its diagonal"
+        )
     if not is_unimodular(v):
         raise ConditionViolatedError("derived right factor is not unimodular")
     for mi, lam in zip(system.moduli, lambdas):
@@ -454,6 +436,7 @@ def crt_diagonalized(
                 "modulus does not match u @ lam @ v for the common u, v"
             )
 
+    u_inv = inv_unimodular(u)
     zetas = [
         mod_reduce(u_inv @ r, lam).value
         for (_, r), lam in zip(system.entries, lambdas)

@@ -19,8 +19,8 @@ from math import gcd
 from .errors import ConditionViolatedError, ShapeError, SingularMatrixError
 from .intmat import (
     IntMat,
-    adjugate,
     det,
+    exact_left_quotient,
     inv_unimodular,
     is_unimodular,
     smith,
@@ -43,7 +43,6 @@ __all__ = [
     "right_divides",
     "commutes",
     "circulant2_coprime",
-    "gcld_equivalent",
     "exact_left_quotient",
 ]
 
@@ -69,17 +68,6 @@ def _check_nonsingular(*ms: IntMat) -> None:
             raise ShapeError("square matrix required")
         if det(m) == 0:
             raise SingularMatrixError("nonsingular matrix required")
-
-
-def exact_left_quotient(a: IntMat, m: IntMat) -> IntMat | None:
-    """a^{-1} @ m when it is an integer matrix, else None."""
-    d = det(a)
-    if d == 0:
-        raise SingularMatrixError("left factor is singular")
-    x = adjugate(a) @ m
-    if any(e % d for row in x for e in row):
-        return None
-    return IntMat((e // d for e in row) for row in x)
 
 
 def left_divides(a: IntMat, m: IntMat) -> bool:
@@ -245,9 +233,3 @@ def circulant2_coprime(p1: int, q1: int, p2: int, q2: int) -> bool:
         raise ConditionViolatedError("degenerate circulant with equal entries")
     return gcd(p1 + q1, p2 + q2) == 1 and gcd(p1 - q1, p2 - q2) == 1
 
-
-def gcld_equivalent(b1: IntMat, b2: IntMat) -> bool:
-    """True iff b1 and b2 differ by a right unimodular factor."""
-    _check_nonsingular(b1, b2)
-    x = exact_left_quotient(b2, b1)
-    return x is not None and is_unimodular(x)

@@ -26,6 +26,7 @@ __all__ = [
     "inv_unimodular",
     "inv_rational",
     "solve_integer",
+    "exact_left_quotient",
     "smith",
 ]
 
@@ -287,6 +288,17 @@ def solve_integer(a: IntMat, v: IntVec) -> IntVec | None:
     if any(e % d for e in y):
         return None
     return IntVec(e // d for e in y)
+
+
+def exact_left_quotient(a: IntMat, m: IntMat) -> IntMat | None:
+    """a^{-1} @ m when it is an integer matrix, else None."""
+    d, adj = det_adjugate(a)
+    if d == 0:
+        raise SingularMatrixError("left factor is singular")
+    x = adj @ m
+    if any(e % d for row in x for e in row):
+        return None
+    return IntMat((e // d for e in row) for row in x)
 
 
 def is_unimodular(a: IntMat) -> bool:

@@ -22,7 +22,14 @@ from math import ceil, floor, isqrt
 from typing import Sequence
 
 from .errors import EnumerationCapError, ShapeError, SingularMatrixError
-from .intmat import IntMat, IntVec, det_adjugate, is_unimodular
+from .intmat import (
+    IntMat,
+    IntVec,
+    det_adjugate,
+    exact_left_quotient,
+    is_unimodular,
+    solve_integer,
+)
 from .residue import default_enum_cap
 
 __all__ = [
@@ -223,20 +230,14 @@ def cvp(
 
 
 def lattices_equal(b1: IntMat, b2: IntMat) -> bool:
-    """True iff the two bases generate the same lattice."""
-    d, adj = det_adjugate(b2)
-    if d == 0 or det_adjugate(b1)[0] == 0:
+    """True iff the two bases generate the same lattice, that is iff
+    b2^{-1} @ b1 is an integer unimodular matrix."""
+    if det_adjugate(b1)[0] == 0:
         raise SingularMatrixError("lattice basis is singular")
-    x = adj @ b1
-    if any(e % d for row in x for e in row):
-        return False
-    q = IntMat((e // d for e in row) for row in x)
-    return is_unimodular(q)
+    q = exact_left_quotient(b2, b1)
+    return q is not None and is_unimodular(q)
 
 
 def lattice_member(b: IntMat, w: IntVec) -> bool:
     """Exact membership test of an integer vector in LAT(b)."""
-    d, adj = det_adjugate(b)
-    if d == 0:
-        raise SingularMatrixError("lattice basis is singular")
-    return not any(e % d for e in adj @ w)
+    return solve_integer(b, w) is not None

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EnumerationCapError, SingularMatrixError
+from .errors import ConditionViolatedError, EnumerationCapError, SingularMatrixError
 from .intmat import IntMat, IntVec, det_adjugate, inv_unimodular, smith
 
 __all__ = [
@@ -33,9 +33,17 @@ _DEFAULT_CAP = 10**6
 
 
 def default_enum_cap() -> int:
-    """Residue/lattice enumeration cap; MDCRT_ENUM_CAP overrides."""
+    """Residue/lattice enumeration cap; MDCRT_ENUM_CAP overrides and must
+    be a positive integer."""
     raw = os.environ.get("MDCRT_ENUM_CAP")
-    return int(raw) if raw else _DEFAULT_CAP
+    if not raw:
+        return _DEFAULT_CAP
+    cap = int(raw) if raw.strip().isdecimal() else 0
+    if cap < 1:
+        raise ConditionViolatedError(
+            f"MDCRT_ENUM_CAP must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 def _reduce_ctx(m: IntMat) -> tuple[int, IntMat]:

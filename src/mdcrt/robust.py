@@ -32,7 +32,6 @@ from math import floor, isqrt, sqrt
 from typing import Iterator, Sequence
 
 from .crt import CcSolver
-from .divisibility import commutes, is_left_coprime
 from .errors import (
     ConditionViolatedError,
     EnumerationCapError,
@@ -49,7 +48,7 @@ from .intmat import (
     smith,
     solve_integer,
 )
-from .lattice import Norm, cvp, min_distance
+from .lattice import Norm, _norm_value, cvp, min_distance
 from .residue import (
     default_enum_cap,
     folding_vector,
@@ -81,9 +80,11 @@ __all__ = [
 class RobustModuli:
     """Moduli common @ cofactors[i] with commuting, coprime cofactors.
 
-    Validates the structure once and caches what the per-trial hot path
-    needs: the weighted-sum solvers and the Smith form of the common
-    factor.
+    Construction checks the shapes and that ``common`` is nonsingular,
+    then builds the weighted-sum solver over the cofactors themselves
+    (v = I); CcSolver rejects singular, non-commuting or non-coprime
+    cofactors. What the per-trial hot path needs is cached: the solvers
+    per right transform v and the Smith form of the common factor.
     """
 
     def __init__(self, common: IntMat, cofactors: Sequence[IntMat]):
@@ -92,24 +93,12 @@ class RobustModuli:
             raise ShapeError("at least one cofactor required")
         if det(common) == 0:
             raise SingularMatrixError("common factor is singular")
-        for g in cofactors:
-            if g.shape != common.shape:
-                raise ShapeError("cofactor shape differs from common factor")
-            if det(g) == 0:
-                raise SingularMatrixError("cofactor is singular")
-        for i in range(len(cofactors)):
-            for j in range(i + 1, len(cofactors)):
-                if not commutes(cofactors[i], cofactors[j]):
-                    raise ConditionViolatedError(
-                        f"cofactors {i} and {j} do not commute"
-                    )
-                if not is_left_coprime(cofactors[i], cofactors[j]):
-                    raise ConditionViolatedError(
-                        f"cofactors {i} and {j} are not coprime"
-                    )
+        if any(g.shape != common.shape for g in cofactors):
+            raise ShapeError("cofactor shape differs from common factor")
         self.common = common
         self.cofactors = cofactors
         self._smith_solvers: dict[IntMat, CcSolver] = {}
+        self.smith_solver(_identity(self.dim))
 
     @property
     def dim(self) -> int:
@@ -294,49 +283,28 @@ def range_contains(
     return in_fpd(folding_vector(m, rm.moduli[index]), region)
 
 
-def _charpoly(a: IntMat) -> list[int]:
-    """Integer characteristic polynomial coefficients c0..cn (monic)."""
-    n = a.rows
-    c = [0] * (n + 1)
-    c[n] = 1
-    mk = None
-    for k in range(1, n + 1):
-        mk = a if mk is None else a @ (mk + c[n - k + 1] * IntMat.identity(n))
-        tr = sum(mk[i, i] for i in range(n))
-        q, rem = divmod(-tr, k)
-        assert rem == 0
-        c[n - k] = q
-    return c
-
-
-def _poly_eval(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _max_eig_upper(s: IntMat, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
-    """Rational upper bound on the largest eigenvalue of a symmetric
-    integer matrix, certified by sign conditions on the characteristic
-    polynomial and all its derivatives (valid since all roots are real).
+    """Rational upper bound, within ``tol``, on the largest eigenvalue of a
+    symmetric integer matrix, found by bisection on an exact predicate.
+
+    x = p/q lies above every eigenvalue iff p*I - q*s is positive
+    definite, which by Sylvester's criterion holds iff all its leading
+    principal minors are positive.
     """
     n = s.rows
-    polys = [_charpoly(s)]
-    while len(polys[-1]) > 2:
-        p = polys[-1]
-        polys.append([i * p[i] for i in range(1, len(p))])
 
-    def above_all_roots(x: Fraction) -> bool:
-        return all(_poly_eval(p, x) > 0 for p in polys)
+    def above_all_eigenvalues(x: Fraction) -> bool:
+        p, q = x.numerator, x.denominator
+        rows = [[p * (i == j) - q * e for j, e in enumerate(r)] for i, r in enumerate(s)]
+        return all(det(IntMat(r[:k] for r in rows[:k])) > 0 for k in range(1, n + 1))
 
     hi = Fraction(max(sum(abs(s[i, j]) for j in range(n)) for i in range(n)))
-    while not above_all_roots(hi):
+    while not above_all_eigenvalues(hi):
         hi += 1
     lo = Fraction(0)
     while hi - lo > tol:
         mid = (hi + lo) / 2
-        if above_all_roots(mid):
+        if above_all_eigenvalues(mid):
             hi = mid
         else:
             lo = mid
@@ -344,8 +312,9 @@ def _max_eig_upper(s: IntMat, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
 
 
 def operator_norm_upper(a: IntMat, norm: Norm) -> Fraction:
-    """Induced operator norm; exact for L1/Linf, a certified rational
-    upper bound (within 1e-9) for L2."""
+    """Induced operator norm; exact for L1/Linf. For L2 a certified
+    rational upper bound: the square root, rounded up, of an upper bound
+    within 1e-9 on the largest eigenvalue of a.T @ a."""
     n = a.rows
     if norm is Norm.L1:
         return Fraction(max(sum(abs(a[i, j]) for i in range(n)) for j in range(n)))
@@ -416,17 +385,12 @@ def _error_ball(tau: Fraction, norm: Norm, dim: int) -> tuple[IntVec, ...]:
     side = 2 * reach + 1
     if side**dim > default_enum_cap():
         raise EnumerationCapError("error ball too large to enumerate")
-    pts = []
-    for c in itertools.product(range(-reach, reach + 1), repeat=dim):
-        if norm is Norm.L2:
-            ok = sum(x * x for x in c) <= tau * tau
-        elif norm is Norm.L1:
-            ok = sum(abs(x) for x in c) <= tau
-        else:
-            ok = max(abs(x) for x in c) <= tau
-        if ok:
-            pts.append(IntVec(c))
-    return tuple(pts)
+    limit = tau * tau if norm is Norm.L2 else tau
+    return tuple(
+        IntVec(c)
+        for c in itertools.product(range(-reach, reach + 1), repeat=dim)
+        if _norm_value(c, norm) <= limit
+    )
 
 
 def sample_error(rng: random.Random, model: ErrorModel, dim: int) -> IntVec:

@@ -2,17 +2,19 @@
 
 Oracles here deliberately avoid the package's computation paths: the
 cofactor determinant is a textbook recursive expansion, invariant factors
-come from gcds of minors, and residue enumeration scans a box. Two
-oracles reuse package primitives along a different route: the remainder
-through the rational floor, and folding-vector recovery re-anchored by
-permuting the moduli.
+come from gcds of minors, residue enumeration scans a box, and the L2
+operator norm bisects on the characteristic polynomial. Two oracles
+reuse package primitives along a different route: the remainder through
+the rational floor, and folding-vector recovery re-anchored by permuting
+the moduli.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt
 
 from mdcrt import IntMat, IntVec
 
@@ -49,6 +51,52 @@ def minors_gcd_invariant_factors(a: IntMat) -> tuple[int, ...]:
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def charpoly(a: IntMat) -> list[int]:
+    """Integer characteristic polynomial coefficients c0..cn (monic), by
+    the Faddeev-LeVerrier recursion."""
+    n = a.rows
+    c = [0] * (n + 1)
+    c[n] = 1
+    mk = None
+    for k in range(1, n + 1):
+        mk = a if mk is None else a @ (mk + c[n - k + 1] * IntMat.identity(n))
+        q, rem = divmod(-sum(mk[i, i] for i in range(n)), k)
+        assert rem == 0
+        c[n - k] = q
+    return c
+
+
+def charpoly_operator_norm_l2(a: IntMat, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
+    """Certified rational bound on the L2 operator norm of a; oracle for
+    operator_norm_upper.
+
+    Bisects for the largest eigenvalue of a.T @ a on the sign of its
+    characteristic polynomial and all the derivatives: since every root
+    is real, all are positive at x iff x lies above every eigenvalue.
+    """
+    s = a.T @ a
+    n = s.rows
+    polys = [charpoly(s)]
+    while len(polys[-1]) > 2:
+        p = polys[-1]
+        polys.append([i * p[i] for i in range(1, len(p))])
+
+    def above_all_roots(x: Fraction) -> bool:
+        return all(sum(c * x**i for i, c in enumerate(p)) > 0 for p in polys)
+
+    hi = Fraction(max(sum(abs(s[i, j]) for j in range(n)) for i in range(n)))
+    while not above_all_roots(hi):
+        hi += 1
+    lo = Fraction(0)
+    while hi - lo > tol:
+        mid = (hi + lo) / 2
+        if above_all_roots(mid):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(isqrt(hi.numerator * hi.denominator) + 1, hi.denominator)
 
 
 def random_matrix(rng: random.Random, n: int, lo: int = -20, hi: int = 20) -> IntMat:
@@ -213,9 +261,9 @@ def run_commuting_pair_invariants(count: int, seed: int) -> None:
         commutes,
         det,
         gcld,
-        gcld_equivalent,
         is_left_coprime,
         is_right_coprime,
+        lattices_equal,
         lclm,
         lcrm,
     )
@@ -227,8 +275,8 @@ def run_commuting_pair_invariants(count: int, seed: int) -> None:
         assert is_left_coprime(a, b) == is_right_coprime(a, b)
         assert abs(det(gcld(a, b).l) * det(lcrm(a, b))) == abs(det(a) * det(b))
         if is_left_coprime(a, b):
-            assert gcld_equivalent(lcrm(a, b), a @ b)
-            assert gcld_equivalent(lclm(a, b).T, (a @ b).T)
+            assert lattices_equal(lcrm(a, b), a @ b)
+            assert lattices_equal(lclm(a, b).T, (a @ b).T)
 
 
 def run_product_coprimeness(count: int, seed: int) -> None:
@@ -242,13 +290,13 @@ def run_product_coprimeness(count: int, seed: int) -> None:
 
 
 def run_left_factor_lcrm(count: int, seed: int) -> None:
-    from mdcrt import gcld_equivalent, lcrm_list
+    from mdcrt import lattices_equal, lcrm_list
 
     rng = random.Random(seed)
     for _ in range(count):
         m = random_nonsingular(rng, 2, -6, 6)
         gs = random_coprime_circulants(rng, 2)
-        assert gcld_equivalent(lcrm_list([m @ g for g in gs]), m @ lcrm_list(gs))
+        assert lattices_equal(lcrm_list([m @ g for g in gs]), m @ lcrm_list(gs))
 
 
 def unitarity_defect(mod: IntMat) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,30 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli_subprocess(argv, **env):
+    """``python -m mdcrt`` in a subprocess with a 30 s timeout and a 1 GiB
+    address-space limit, so that an input that loops or grows without end
+    fails the test instead of hanging the suite or filling host memory."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(mdcrt.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1",  # per-thread BLAS buffers count against the limit
+        **env,
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "mdcrt", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+        preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -244,20 +269,27 @@ def test_usage_error_exit_code(capsys):
         ["fig1", "--taus", "0:4:0"],
         ["freqest", "--freq", "1,x"],
         ["freqest", "--snr-step", "0"],
+        ["freqest", "--snr-start", "1e17", "--snr-stop", "2e17", "--snr-step", "1"],
+        ["freqest", "--snr-stop", "inf"],
+        ["freqest", "--snr-stop", "nan"],
+        ["freqest", "--snr-start=-inf"],
+        ["freqest", "--snr-step", "inf"],
+        ["freqest", "--snr-start", "0", "--snr-stop", "1", "--snr-step", "1e-6"],
     ],
     ids=" ".join,
 )
 def test_bad_numeric_arguments_rejected_at_parse_time(argv):
-    # a subprocess with a timeout, so that an input that loops forever
-    # fails the test instead of hanging the suite
-    env = dict(os.environ, PYTHONPATH=str(Path(mdcrt.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdcrt", *argv],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env=env,
-    )
+    proc = run_cli_subprocess(argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_bad_enum_cap_is_a_domain_error():
+    argv = ["fig1", "--trials", "1", "--taus", "0"]
+    proc = run_cli_subprocess(argv, MDCRT_ENUM_CAP="abc")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"]["code"] == "CONDITION_VIOLATED"
+    assert "MDCRT_ENUM_CAP" in payload["error"]["message"]

@@ -11,12 +11,12 @@ from mdcrt import (
     commutes,
     det,
     gcld,
-    gcld_equivalent,
     gcrd,
     hermite_canonical,
     is_left_coprime,
     is_right_coprime,
     is_unimodular,
+    lattices_equal,
     lclm,
     lcrm,
     lcrm_list,
@@ -50,7 +50,7 @@ def test_hermite_canonical_shape():
                 assert h[i, j] == 0
             for j in range(i):
                 assert 0 <= h[i, j] < h[i, i]
-        assert gcld_equivalent(h, a)
+        assert lattices_equal(h, a)
         assert hermite_canonical(h) == h
 
 
@@ -63,7 +63,7 @@ def test_gcld_worked_pair():
     m1, m2 = M_II @ G1, M_II @ G2
     cert = gcld(m1, m2)
     assert m1 @ cert.p + m2 @ cert.q == cert.l
-    assert gcld_equivalent(cert.l, M_II)
+    assert lattices_equal(cert.l, M_II)
     # published cofactors are one admissible certificate for the raw gcld
     p1 = IntMat([[3, 11], [1, 4]])
     p2 = IntMat([[-2, -8], [1, 4]])
@@ -92,15 +92,15 @@ def test_gcrd_examples():
 
 def test_lcrm_examples():
     m = M_II
-    assert gcld_equivalent(lcrm(m, IntMat.identity(2)), m)
-    assert gcld_equivalent(lcrm(m @ G1, m @ G2), m @ G1 @ G2)
+    assert lattices_equal(lcrm(m, IntMat.identity(2)), m)
+    assert lattices_equal(lcrm(m @ G1, m @ G2), m @ G1 @ G2)
     got = lcrm(IntMat.diag([4, 6]), IntMat.diag([6, 4]))
-    assert gcld_equivalent(got, IntMat.diag([lcm(4, 6), lcm(6, 4)]))
+    assert lattices_equal(got, IntMat.diag([lcm(4, 6), lcm(6, 4)]))
 
 
 def test_lclm_examples():
     def lclm_equivalent(a, b):
-        return gcld_equivalent(a.T, b.T)
+        return lattices_equal(a.T, b.T)
 
     assert lclm_equivalent(lclm(IntMat.identity(2), M_II), M_II)
     assert lclm_equivalent(
@@ -112,17 +112,17 @@ def test_lclm_examples():
     )
     # commuting coprime pair: the product is both an lcrm and an lclm
     assert lclm_equivalent(lclm(G1, G2), G1 @ G2)
-    assert gcld_equivalent(lcrm(G1, G2), G1 @ G2)
+    assert lattices_equal(lcrm(G1, G2), G1 @ G2)
 
 
 def test_lcrm_list_examples():
     single = lcrm_list([M_II])
-    assert gcld_equivalent(single, M_II)
+    assert lattices_equal(single, M_II)
     m_i = IntMat([[4, 3], [3, 4]])
     mods_i = [m_i @ G1, m_i @ G2, m_i @ G3]
-    assert gcld_equivalent(lcrm_list(mods_i), IntMat([[402, 522], [522, 402]]))
+    assert lattices_equal(lcrm_list(mods_i), IntMat([[402, 522], [522, 402]]))
     mods_ii = [M_II @ G1, M_II @ G2, M_II @ G3]
-    assert gcld_equivalent(lcrm_list(mods_ii), IntMat([[390, 270], [654, 534]]))
+    assert lattices_equal(lcrm_list(mods_ii), IntMat([[390, 270], [654, 534]]))
 
 
 def test_coprimeness_predicates():
@@ -148,9 +148,9 @@ def test_circulant2_coprime():
 
 def test_gcld_equivalent():
     b = IntMat([[5, 1], [2, 3]])
-    assert gcld_equivalent(b, b)
-    assert gcld_equivalent(b, b @ IntMat([[1, 1], [0, 1]]))
-    assert not gcld_equivalent(IntMat.identity(2), 2 * IntMat.identity(2))
+    assert lattices_equal(b, b)
+    assert lattices_equal(b, b @ IntMat([[1, 1], [0, 1]]))
+    assert not lattices_equal(IntMat.identity(2), 2 * IntMat.identity(2))
 
 
 def test_bezout_invariants_random():
@@ -191,5 +191,5 @@ def test_unimodular_factors_do_not_change_results():
     for _ in range(25):
         a = random_nonsingular(rng, 2, -8, 8)
         w = random_unimodular(rng, 2)
-        assert gcld_equivalent(a, a @ w)
+        assert lattices_equal(a, a @ w)
         assert hermite_canonical(a) == hermite_canonical(a @ w)

@@ -10,6 +10,8 @@ from mdcrt import (
     IntMat,
     IntVec,
     Norm,
+    ShapeError,
+    SingularMatrixError,
     cvp,
     inv_rational,
     lattice_member,
@@ -215,6 +217,14 @@ def test_lattices_equal():
     assert not lattices_equal(IntMat.identity(2), 2 * IntMat.identity(2))
     m = IntMat([[4, 1], [0, 3]])
     assert lattices_equal(m, lcrm(m, IntMat.identity(2)))
+    singular = IntMat([[1, 2], [2, 4]])
+    for b1, b2 in ((singular, b), (b, singular)):
+        with pytest.raises(SingularMatrixError):
+            lattices_equal(b1, b2)
+    wide = IntMat([[1, 0, 0], [0, 1, 0]])
+    for b1, b2 in ((wide, b), (b, wide), (IntMat.identity(3), b)):
+        with pytest.raises(ShapeError):
+            lattices_equal(b1, b2)
 
 
 def test_lattice_member():

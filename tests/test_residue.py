@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from mdcrt import (
+    ConditionViolatedError,
     EnumerationCapError,
     IntMat,
     IntVec,
@@ -83,6 +84,10 @@ def test_enum_cap_env_override(monkeypatch):
         residue_set(IntMat.diag([4, 5]))
     monkeypatch.setenv("MDCRT_ENUM_CAP", "100")
     assert len(residue_set(IntMat.diag([4, 5]))) == 20
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("MDCRT_ENUM_CAP", bad)
+        with pytest.raises(ConditionViolatedError):
+            residue_set(IntMat.diag([4, 5]))
 
 
 def test_in_fpd():

@@ -12,6 +12,8 @@ from mdcrt import (
     IntVec,
     Norm,
     RobustModuli,
+    ShapeError,
+    SingularMatrixError,
     SmithForm,
     circulant2_coprime,
     cvp,
@@ -33,7 +35,7 @@ from mdcrt import (
     sample_error,
     sample_in_range,
 )
-from helpers import recover_by_reordering
+from helpers import charpoly_operator_norm_l2, random_matrix, recover_by_reordering
 
 BENCH = IntMat([[48, 17], [8, 46]])
 COFS = [IntMat([[1, 3], [3, 1]]), IntMat([[3, 4], [4, 3]])]
@@ -55,6 +57,14 @@ def test_robust_moduli_validation():
         RobustModuli(BENCH, [COFS[0], IntMat([[2, 3], [4, 5]])])  # no commute
     with pytest.raises(ConditionViolatedError):
         RobustModuli(BENCH, [COFS[0], 2 * COFS[0]])  # not coprime
+    with pytest.raises(SingularMatrixError):
+        RobustModuli(BENCH, [COFS[0], IntMat([[2, 2], [2, 2]])])
+    with pytest.raises(SingularMatrixError):
+        RobustModuli(BENCH, [IntMat([[1, 1], [1, 1]])])  # single cofactor
+    with pytest.raises(ShapeError):
+        RobustModuli(BENCH, [COFS[0], IntMat([[1, 3, 0], [3, 1, 0]])])
+    with pytest.raises(ShapeError):
+        RobustModuli(BENCH, [IntMat.identity(3)])
 
 
 def test_range_contains():
@@ -295,6 +305,22 @@ def test_operator_norm_upper():
     true = np.linalg.svd(np.array([[2, 1], [1, 1]], dtype=float))[1][0]
     assert float(sigma) >= true
     assert float(sigma) == pytest.approx(true, abs=1e-6)
+
+
+def test_operator_norm_l2_matches_charpoly_oracle():
+    rng = random.Random(23)
+    special = []
+    for n in range(1, 5):
+        ident = IntMat.identity(n)
+        col = IntMat([[rng.randint(-4, 4)] for _ in range(n)])
+        row = IntMat([[rng.randint(-4, 4) for _ in range(n)]])
+        special += [0 * ident, ident, 3 * ident, col @ row]  # zero, I, rank 1
+        special.append(IntMat.diag([2] * (n - 1) + [1]))  # repeated for n >= 3
+    special.append(IntMat([[1, 1], [-1, 1]]))  # a.T @ a == 2 I
+    special.append(IntMat([[1, 2, 0], [-2, 1, 0], [0, 0, 1]]))
+    randoms = [random_matrix(rng, rng.randint(1, 4), -6, 6) for _ in range(400)]
+    for a in special + randoms:
+        assert operator_norm_upper(a, Norm.L2) == charpoly_operator_norm_l2(a), a
 
 
 def test_single_modulus_case():
