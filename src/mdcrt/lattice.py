@@ -1,12 +1,36 @@
-"""Exact shortest-vector and closest-vector computations by enumeration.
+"""Exact shortest-vector and closest-vector computations by sphere decoding.
 
 Decisions here feed exact-threshold robustness arguments, so nothing is
-approximated: L2 comparisons happen on squared rationals, L1/Linf on
-exact sums, and the enumerator provably covers a ball around the seed.
-The seed comes from Babai's nearest-plane walk over an exact rational
-Gram-Schmidt basis; the achieved seed distance then bounds a coefficient
-box through the rows of the inverse basis, and the box is swept
-exhaustively.
+approximated: every comparison is between integers, and the search
+provably covers a ball around the best point found so far.
+
+- Gram-Schmidt data. Each basis gets its exact Gram-Schmidt
+  decomposition once (cached), scaled to integers, so that the squared
+  L2 distance from b @ c to a rational target, times a fixed integer, is
+  an integer quadratic form in c with one term per Gram-Schmidt
+  direction.
+- Babai seed. Nearest-plane rounding, from level n-1 down to 0, gives a
+  seed point. Its distance d under the requested norm fixes the first
+  search radius: the L2 ball of squared radius d (L2, where distances
+  are squared), d^2 (L1) or n*d^2 (Linf) holds every point at least as
+  close.
+- Certificate. Every nonzero lattice vector is at least as long as the
+  shortest Gram-Schmidt vector b*_k. When twice the search radius is
+  below that length, no other lattice point is as close as the seed,
+  and the seed is returned without a search.
+- Sphere decoding. Otherwise a depth-first Schnorr-Euchner enumeration
+  visits each level's coefficients in order of distance from the level's
+  centre and leaves the level at the first one whose partial squared
+  distance exceeds the radius. The radius shrinks with every strict
+  improvement. Every minimizer lies inside every radius used, so ties go
+  to the lexicographically smallest coefficient vector whatever the
+  visit order. ``min_distance`` runs the same search around the origin,
+  seeded by the shortest basis column, skipping the origin itself.
+- Cap. Before any search, the axis-aligned coefficient box that covers
+  the first radius is sized through the rows of the adjugate; a box of
+  more than the enumeration cap raises EnumerationCapError. Every
+  coefficient the search keeps lies inside that box, and each level
+  overshoots it at most once, so the cap bounds the work.
 
 Intended for the small dimensions of this problem domain (D <= 6 by
 default); there is deliberately no basis reduction or approximation.
@@ -15,11 +39,10 @@ default); there is deliberately no basis reduction or approximation.
 from __future__ import annotations
 
 import enum
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from typing import NamedTuple, Sequence
 
 from .errors import EnumerationCapError, ShapeError, SingularMatrixError
 from .intmat import (
@@ -83,74 +106,169 @@ def _frac_sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(n * d) + 1, d)
 
 
+class _GramSchmidt(NamedTuple):
+    """Exact Gram-Schmidt data of a basis, scaled to integers.
+
+    ``w[k]`` is the primitive integer multiple of b*_k with positive
+    scale and ``g[k][j] = <b_j, w[k]>`` (zero for j < k). With
+    ``a[k] = m // |w[k]|^2``, the squared distance of b @ c to t = tq / q is
+
+        sum_k a[k] * (q * sum_{j >= k} g[k][j] * c[j] - <tq, w[k]>)^2 / (m q^2),
+
+    one term per level. ``gmin = m * min_k |b*_k|^2``.
+    """
+
+    w: tuple[tuple[int, ...], ...]
+    g: tuple[tuple[int, ...], ...]
+    a: tuple[int, ...]
+    m: int
+    gmin: int
+
+
 @lru_cache(maxsize=256)
-def _gram_schmidt(b: IntMat):
-    """Exact Gram-Schmidt over the columns; returns (b*, |b*|^2) tuples."""
+def _gram_schmidt(b: IntMat) -> _GramSchmidt:
     n = b.rows
     cols = [[Fraction(b[i, j]) for i in range(n)] for j in range(n)]
     stars: list[list[Fraction]] = []
-    norms2: list[Fraction] = []
-    for j in range(n):
-        v = list(cols[j])
-        for k in range(j):
-            mu = sum(a * c for a, c in zip(cols[j], stars[k])) / norms2[k]
-            v = [x - mu * y for x, y in zip(v, stars[k])]
+    for col in cols:
+        v = col
+        for s in stars:
+            mu = sum(x * y for x, y in zip(col, s)) / sum(y * y for y in s)
+            v = [x - mu * y for x, y in zip(v, s)]
         stars.append(v)
-        norms2.append(sum(x * x for x in v))
-    return tuple(tuple(s) for s in stars), tuple(norms2)
+    w = []
+    for s in stars:
+        den = lcm(*(x.denominator for x in s))
+        scaled = [x.numerator * (den // x.denominator) for x in s]
+        k = gcd(*scaled)
+        w.append(tuple(x // k for x in scaled))
+    g = tuple(
+        tuple(sum(b[i, j] * wk[i] for i in range(n)) for j in range(n))
+        for wk in w
+    )
+    norms = [sum(x * x for x in wk) for wk in w]
+    m = lcm(*norms)
+    a = tuple(m // x for x in norms)
+    gmin = min(g[k][k] ** 2 * a[k] for k in range(n))
+    return _GramSchmidt(tuple(w), g, a, m, gmin)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return floor(x + Fraction(1, 2))
+def _project(gs: _GramSchmidt, tq: Sequence[int]) -> list[int]:
+    """<tq, w[k]> for every level k."""
+    return [sum(x * y for x, y in zip(tq, wk)) for wk in gs.w]
 
 
-def _nearest_plane(b: IntMat, target: Sequence[Fraction]) -> tuple[int, ...]:
-    """Babai coefficient seed; the walk's output distance is the box radius."""
-    stars, norms2 = _gram_schmidt(b)
-    n = b.rows
-    t = list(target)
-    coeffs = [0] * n
-    for j in reversed(range(n)):
-        mu = sum(a * c for a, c in zip(t, stars[j])) / norms2[j]
-        cj = _round_half_up(mu)
-        coeffs[j] = cj
-        if cj:
-            t = [x - cj * b[i, j] for i, x in enumerate(t)]
-    return tuple(coeffs)
+def _babai(gs: _GramSchmidt, tq: Sequence[int], q: int) -> list[int]:
+    """Nearest-plane coefficients for t = tq / q: each level rounds its
+    centre half up."""
+    tw = _project(gs, tq)
+    n = len(tw)
+    c = [0] * n
+    for k in reversed(range(n)):
+        row = gs.g[k]
+        e = tw[k] - q * sum(row[j] * c[j] for j in range(k + 1, n))
+        qg = q * row[k]
+        c[k] = (2 * e + qg) // (2 * qg)
+    return c
 
 
-def _coeff_box(
-    b: IntMat, center: Sequence[Fraction], radius2: Fraction, cap: int
-):
-    """All integer coefficient vectors c with b @ c possibly within the
-    L2 ball of squared radius ``radius2`` around the target."""
+def _scaled_diff(b: IntMat, c: Sequence[int], tq: Sequence[int], q: int):
+    """q * (b @ c - t), an integer vector, for t = tq / q."""
+    return [
+        q * sum(x * y for x, y in zip(row, c)) - t
+        for row, t in zip(b.entries, tq)
+    ]
+
+
+def _check_box(b: IntMat, tq: Sequence[int], q: int, r2: int, cap: int) -> None:
+    """Raise EnumerationCapError when the axis-aligned coefficient box
+    covering the L2 ball of squared radius r2 / q^2 around t = tq / q
+    holds more than ``cap`` points.
+
+    Coefficient i of a point in the ball lies within t_i = sqrt(r2 * s2)
+    / (q |d|) of u_i = (adj @ tq)_i / (q d), where s2 is the squared norm
+    of row i of adj(b); t_i is rounded up to a rational. Every range holds
+    a coefficient of a point in the ball, so the running product never
+    shrinks and no range is swept.
+    """
     d, adj = det_adjugate(b)
-    n = b.rows
-    d2 = d * d
-    ranges = []
+    qd = q * d
     total = 1
-    for i in range(n):
-        u = sum(Fraction(adj[i, j]) * center[j] for j in range(n)) / d
-        s2 = sum(adj[i, j] ** 2 for j in range(n))
-        t = _frac_sqrt_upper(radius2 * s2 / d2)
-        lo = ceil(u - t)
-        hi = floor(u + t)
-        ranges.append(range(lo, hi + 1))
-        total *= max(hi - lo + 1, 0)
+    for row in adj.entries:
+        u = sum(x * y for x, y in zip(row, tq))
+        t = _frac_sqrt_upper(Fraction(r2 * sum(x * x for x in row), qd * qd))
+        den = qd * t.denominator
+        centre, reach = u * t.denominator, t.numerator * abs(qd)
+        if den < 0:
+            den, centre = -den, -centre
+        total *= (centre + reach) // den + (reach - centre) // den + 1
         if total > cap:
             raise EnumerationCapError(
                 f"enumeration box of {total} points exceeds cap {cap}"
             )
-    return itertools.product(*ranges)
 
 
-def _search_radius2(dist, norm: Norm, dim: int) -> Fraction:
+def _search_radius2(dist, norm: Norm, dim: int):
     """Squared L2 radius of a ball containing the norm ball of ``dist``."""
     if norm is Norm.L2:
-        return Fraction(dist)
+        return dist
     if norm is Norm.L1:
-        return Fraction(dist) ** 2
-    return dim * Fraction(dist) ** 2
+        return dist * dist
+    return dim * dist * dist
+
+
+def _sphere_decode(
+    b: IntMat,
+    tq: Sequence[int],
+    q: int,
+    norm: Norm,
+    best_val: int,
+    best_coeffs: tuple[int, ...],
+    skip_zero: bool = False,
+) -> tuple[int, tuple[int, ...]]:
+    """Depth-first Schnorr-Euchner search for t = tq / q.
+
+    ``best_val`` is the scaled norm value (of q * (b @ c - t)) of the
+    coefficient vector ``best_coeffs``. Returns the least scaled value
+    and the lexicographically smallest coefficient vector attaining it.
+    Each level visits its coefficients in order of distance from the
+    level's centre, so the first one past the radius ends the level.
+    """
+    gs = _gram_schmidt(b)
+    g, a, m = gs.g, gs.a, gs.m
+    n = b.rows
+    tw = _project(gs, tq)
+    bound = m * _search_radius2(best_val, norm, n)
+    c = [0] * n
+
+    def visit(k: int, partial: int) -> None:
+        nonlocal best_val, best_coeffs, bound
+        row = g[k]
+        e = tw[k] - q * sum(row[j] * c[j] for j in range(k + 1, n))
+        qg = q * row[k]
+        x = (2 * e + qg) // (2 * qg)
+        step = 1 if qg * x <= e else -1
+        while True:
+            y = qg * x - e
+            p = partial + a[k] * y * y
+            if p > bound:
+                return
+            c[k] = x
+            if k:
+                visit(k - 1, p)
+            elif not (skip_zero and not any(c)):
+                val = _norm_value(_scaled_diff(b, c, tq, q), norm)
+                coeffs = tuple(c)
+                if val < best_val:
+                    best_val, best_coeffs = val, coeffs
+                    bound = m * _search_radius2(val, norm, n)
+                elif val == best_val and coeffs < best_coeffs:
+                    best_coeffs = coeffs
+            x += step
+            step = -step - 1 if step > 0 else 1 - step
+
+    visit(n - 1, 0)
+    return best_val, best_coeffs
 
 
 def min_distance(
@@ -158,30 +276,23 @@ def min_distance(
     norm: Norm = Norm.L2,
     max_dim: int = MAX_ENUM_DIM,
     cap: int | None = None,
-):
+) -> int:
     """Exact minimum over LAT(b) minus the origin.
 
     Returns the squared distance (an integer) for L2 and the plain
     integer distance for L1/Linf. The shortest basis column seeds the
-    search radius; the minimizer must lie inside the resulting box.
+    search radius; sphere decoding around the origin, skipping it, finds
+    every shorter vector.
     """
     _check_basis(b, max_dim)
     cap = default_enum_cap() if cap is None else cap
     n = b.rows
-    seed = min(
-        _norm_value([b[i, j] for i in range(n)], norm) for j in range(n)
-    )
-    zero_center = [Fraction(0)] * n
-    best = seed
-    for coeffs in _coeff_box(b, zero_center, _search_radius2(seed, norm, n), cap):
-        if not any(coeffs):
-            continue
-        point = [
-            sum(b[i, j] * coeffs[j] for j in range(n)) for i in range(n)
-        ]
-        val = _norm_value(point, norm)
-        if val < best:
-            best = val
+    lengths = [_norm_value(b.col(j), norm) for j in range(n)]
+    seed = min(lengths)
+    _check_box(b, [0] * n, 1, _search_radius2(seed, norm, n), cap)
+    shortest = lengths.index(seed)
+    unit = tuple(int(j == shortest) for j in range(n))
+    best, _ = _sphere_decode(b, [0] * n, 1, norm, seed, unit, skip_zero=True)
     return best
 
 
@@ -194,9 +305,10 @@ def cvp(
 ) -> IntVec:
     """A closest lattice point of LAT(b) to the target (ints or Fractions).
 
-    Exact: the nearest-plane seed bounds the search, every candidate in
-    the covering box is compared under the requested norm, and ties are
-    broken toward the lexicographically smallest coefficient vector.
+    Exact: the Babai seed fixes the first radius, and either the
+    certificate shows it is the unique closest point or sphere decoding
+    compares every lattice point within the radius under the requested
+    norm. Ties go to the lexicographically smallest coefficient vector.
     """
     _check_basis(b, max_dim)
     cap = default_enum_cap() if cap is None else cap
@@ -204,29 +316,20 @@ def cvp(
     if len(target) != n:
         raise ShapeError("target dimension does not match the basis")
     t = [Fraction(x) for x in target]
+    q = lcm(*(x.denominator for x in t))
+    tq = [x.numerator * (q // x.denominator) for x in t]
 
-    seed_coeffs = _nearest_plane(b, t)
-    seed_diff = [
-        sum(b[i, j] * seed_coeffs[j] for j in range(n)) - t[i]
-        for i in range(n)
-    ]
-    seed_val = _norm_value(seed_diff, norm)
-
-    best_val = seed_val
-    best_coeffs = seed_coeffs
-    if seed_val > 0:
-        for coeffs in _coeff_box(b, t, _search_radius2(seed_val, norm, n), cap):
-            diff = [
-                sum(b[i, j] * coeffs[j] for j in range(n)) - t[i]
-                for i in range(n)
-            ]
-            val = _norm_value(diff, norm)
-            if val < best_val or (val == best_val and coeffs < best_coeffs):
-                best_val = val
-                best_coeffs = coeffs
-    return IntVec(
-        sum(b[i, j] * best_coeffs[j] for j in range(n)) for i in range(n)
-    )
+    gs = _gram_schmidt(b)
+    coeffs = _babai(gs, tq, q)
+    val = _norm_value(_scaled_diff(b, coeffs, tq, q), norm)
+    if val:
+        r2 = _search_radius2(val, norm, n)
+        _check_box(b, tq, q, r2, cap)
+        # any other lattice point is at least sqrt(min |b*_k|^2) from the
+        # seed, so the seed is the unique closest once 2r is below that
+        if 4 * r2 * gs.m >= q * q * gs.gmin:
+            _, coeffs = _sphere_decode(b, tq, q, norm, val, tuple(coeffs))
+    return b @ IntVec(coeffs)
 
 
 def lattices_equal(b1: IntMat, b2: IntMat) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -315,11 +316,10 @@ def operator_norm_upper(a: IntMat, norm: Norm) -> Fraction:
     """Induced operator norm; exact for L1/Linf. For L2 a certified
     rational upper bound: the square root, rounded up, of an upper bound
     within 1e-9 on the largest eigenvalue of a.T @ a."""
-    n = a.rows
     if norm is Norm.L1:
-        return Fraction(max(sum(abs(a[i, j]) for i in range(n)) for j in range(n)))
+        return Fraction(max(sum(abs(x) for x in col) for col in a.T))
     if norm is Norm.LINF:
-        return Fraction(max(sum(abs(a[i, j]) for j in range(n)) for i in range(n)))
+        return Fraction(max(sum(abs(x) for x in row) for row in a))
     lam_up = _max_eig_upper(a.T @ a)
     num, den = lam_up.numerator, lam_up.denominator
     return Fraction(isqrt(num * den) + 1, den)
@@ -380,23 +380,27 @@ class ErrorModel:
 
 
 @lru_cache(maxsize=256)
-def _error_ball(tau: Fraction, norm: Norm, dim: int) -> tuple[IntVec, ...]:
+def _error_ball(tau: Fraction, norm: Norm, dim: int) -> array:
+    """The integer points of the ball in lexicographic order, their
+    coordinates flattened into one array (16 bytes a point in 2-D), so
+    that the cached balls of a whole sweep stay small."""
     reach = floor(tau)
     side = 2 * reach + 1
     if side**dim > default_enum_cap():
         raise EnumerationCapError("error ball too large to enumerate")
     limit = tau * tau if norm is Norm.L2 else tau
-    return tuple(
-        IntVec(c)
+    return array("q", itertools.chain.from_iterable(
+        c
         for c in itertools.product(range(-reach, reach + 1), repeat=dim)
         if _norm_value(c, norm) <= limit
-    )
+    ))
 
 
 def sample_error(rng: random.Random, model: ErrorModel, dim: int) -> IntVec:
     """Uniform draw from the integer ball of radius tau."""
     ball = _error_ball(Fraction(model.tau), model.norm, dim)
-    return ball[rng.randrange(len(ball))]
+    k = rng.randrange(len(ball) // dim)
+    return IntVec(ball[k * dim : (k + 1) * dim])
 
 
 def sample_in_range(

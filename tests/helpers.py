@@ -2,8 +2,10 @@
 
 Oracles here deliberately avoid the package's computation paths: the
 cofactor determinant is a textbook recursive expansion, invariant factors
-come from gcds of minors, residue enumeration scans a box, and the L2
-operator norm bisects on the characteristic polynomial. Two oracles
+come from gcds of minors, residue enumeration scans a box, closest and
+shortest lattice vectors come from sweeping the whole coefficient box
+around a rational Babai seed, and the L2 operator norm bisects on the
+characteristic polynomial. Two oracles
 reuse package primitives along a different route: the remainder through
 the rational floor, and folding-vector recovery re-anchored by permuting
 the moduli.
@@ -12,6 +14,7 @@ the moduli.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -167,6 +170,137 @@ def mod_reduce_floor(m: IntVec, modulus: IntMat) -> IntVec:
     from mdcrt import folding_vector
 
     return m - modulus @ folding_vector(m, modulus)
+
+
+def _norm_value(diff, norm):
+    from mdcrt import Norm
+
+    if norm is Norm.L2:
+        return sum(x * x for x in diff)
+    if norm is Norm.L1:
+        return sum(abs(x) for x in diff)
+    return max(abs(x) for x in diff)
+
+
+def _search_radius2(dist, norm, dim: int) -> Fraction:
+    from mdcrt import Norm
+
+    if norm is Norm.L2:
+        return Fraction(dist)
+    if norm is Norm.L1:
+        return Fraction(dist) ** 2
+    return dim * Fraction(dist) ** 2
+
+
+def _check_box_basis(b: IntMat, max_dim: int) -> None:
+    from mdcrt import EnumerationCapError, ShapeError, SingularMatrixError
+
+    if not b.is_square:
+        raise ShapeError("lattice basis must be square")
+    if cofactor_det(b.entries) == 0:
+        raise SingularMatrixError("lattice basis is singular")
+    if b.rows > max_dim:
+        raise EnumerationCapError("dimension exceeds enumeration limit")
+
+
+def gram_schmidt_norms2(b: IntMat):
+    """Exact Gram-Schmidt over the columns; returns (b*, |b*|^2) tuples."""
+    n = b.rows
+    cols = [[Fraction(b[i, j]) for i in range(n)] for j in range(n)]
+    stars: list[list[Fraction]] = []
+    norms2: list[Fraction] = []
+    for j in range(n):
+        v = list(cols[j])
+        for k in range(j):
+            mu = sum(a * c for a, c in zip(cols[j], stars[k])) / norms2[k]
+            v = [x - mu * y for x, y in zip(v, stars[k])]
+        stars.append(v)
+        norms2.append(sum(x * x for x in v))
+    return tuple(tuple(s) for s in stars), tuple(norms2)
+
+
+def babai_coeffs(b: IntMat, target) -> tuple[int, ...]:
+    """Nearest-plane coefficients, rounding each level half up."""
+    stars, norms2 = gram_schmidt_norms2(b)
+    n = b.rows
+    t = [Fraction(x) for x in target]
+    coeffs = [0] * n
+    for j in reversed(range(n)):
+        mu = sum(a * c for a, c in zip(t, stars[j])) / norms2[j]
+        cj = math.floor(mu + Fraction(1, 2))
+        coeffs[j] = cj
+        if cj:
+            t = [x - cj * b[i, j] for i, x in enumerate(t)]
+    return tuple(coeffs)
+
+
+def _coeff_box(b: IntMat, center, radius2: Fraction, cap: int):
+    """All integer coefficient vectors c with b @ c possibly within the
+    L2 ball of squared radius ``radius2`` around ``center``: an
+    axis-aligned box sized through the rows of the adjugate."""
+    from mdcrt import EnumerationCapError, adjugate
+
+    d = cofactor_det(b.entries)
+    adj = adjugate(b)
+    n = b.rows
+    ranges = []
+    total = 1
+    for i in range(n):
+        u = sum(Fraction(adj[i, j]) * center[j] for j in range(n)) / d
+        s2 = sum(adj[i, j] ** 2 for j in range(n))
+        x = radius2 * s2 / (d * d)
+        t = Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator) if x > 0 else 0
+        lo = math.ceil(u - t)
+        hi = math.floor(u + t)
+        ranges.append(range(lo, hi + 1))
+        total *= max(hi - lo + 1, 0)
+        if total > cap:
+            raise EnumerationCapError(
+                f"enumeration box of {total} points exceeds cap {cap}"
+            )
+    return itertools.product(*ranges)
+
+
+def box_cvp(b: IntMat, target, norm, cap: int = 10**6, max_dim: int = 6) -> IntVec:
+    """Closest point by sweeping the whole coefficient box around the
+    Babai seed; ties go to the lexicographically smallest coefficient
+    vector. Oracle for cvp, raising the same error classes."""
+    from mdcrt import ShapeError
+
+    _check_box_basis(b, max_dim)
+    n = b.rows
+    if len(target) != n:
+        raise ShapeError("target dimension does not match the basis")
+    t = [Fraction(x) for x in target]
+    best_coeffs = babai_coeffs(b, t)
+
+    def value(coeffs):
+        return _norm_value(
+            [sum(b[i, j] * coeffs[j] for j in range(n)) - t[i] for i in range(n)],
+            norm,
+        )
+
+    best_val = value(best_coeffs)
+    if best_val > 0:
+        for coeffs in _coeff_box(b, t, _search_radius2(best_val, norm, n), cap):
+            val = value(coeffs)
+            if val < best_val or (val == best_val and coeffs < best_coeffs):
+                best_val, best_coeffs = val, coeffs
+    return b @ IntVec(best_coeffs)
+
+
+def box_min_distance(b: IntMat, norm, cap: int = 10**6, max_dim: int = 6) -> int:
+    """Minimum over LAT(b) minus the origin by sweeping the coefficient
+    box around the origin that the shortest basis column bounds. Oracle
+    for min_distance, raising the same error classes."""
+    _check_box_basis(b, max_dim)
+    n = b.rows
+    best = min(_norm_value(b.col(j), norm) for j in range(n))
+    zero = [Fraction(0)] * n
+    for coeffs in _coeff_box(b, zero, _search_radius2(best, norm, n), cap):
+        if any(coeffs):
+            best = min(best, _norm_value(b @ IntVec(coeffs), norm))
+    return best
 
 
 def recover_by_reordering(rtilde, rm, algorithm, norm, u=None, ref=0):

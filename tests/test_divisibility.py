@@ -54,6 +54,25 @@ def test_hermite_canonical_shape():
         assert hermite_canonical(h) == h
 
 
+def test_hermite_canonical_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+
+    def same_lattice(x, y):
+        q = x.inv() * y
+        return all(e.is_integer for e in q) and abs(q.det()) == 1
+
+    rng = random.Random(61)
+    for _ in range(80):
+        a = random_nonsingular(rng, rng.randint(1, 4), -9, 9)
+        h = sympy.Matrix(hermite_canonical(a).entries)
+        ref = hermite_normal_form(sympy.Matrix(a.entries))
+        assert same_lattice(ref, h) and same_lattice(sympy.Matrix(a.entries), h), a
+        assert invariant_factors(h, domain=sympy.ZZ) == invariant_factors(
+            ref, domain=sympy.ZZ
+        )
+
+
 def test_gcld_identity_pair():
     cert = gcld(IntMat.identity(2), IntMat.identity(2))
     assert is_unimodular(cert.l)

@@ -169,6 +169,26 @@ def test_smith_rectangular_random():
                     assert sf.lam[i, j] == 0
 
 
+def test_smith_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors, smith_normal_form
+
+    rng = random.Random(59)
+    mats = [random_matrix(rng, rng.randint(1, 4), -15, 15) for _ in range(30)]
+    for _ in range(30):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        a = IntMat([[rng.randint(-15, 15) for _ in range(nc)] for _ in range(nr)])
+        col = IntMat([[rng.randint(-6, 6)] for _ in range(nr)])
+        mats += [a, col @ IntMat([a.row(0).entries])]  # full and rank <= 1
+    mats.append(IntMat([[0, 0], [0, 0]]))
+    for a in mats:
+        m = sympy.Matrix(a.entries)
+        factors = tuple(int(x) for x in invariant_factors(m, domain=sympy.ZZ) if x)
+        snf = smith_normal_form(m, domain=sympy.ZZ)
+        diag = tuple(abs(int(snf[i, i])) for i in range(min(a.shape)) if snf[i, i])
+        assert smith(a).invariant_factors == factors == diag, a
+
+
 def test_inv_rational():
     ident = inv_rational(IntMat.identity(2))
     assert ident == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

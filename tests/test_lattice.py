@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdcrt import lattice
 from mdcrt import (
     EnumerationCapError,
     IntMat,
@@ -19,8 +20,17 @@ from mdcrt import (
     lcrm,
     min_distance,
     mod_reduce,
+    smith,
 )
-from helpers import random_nonsingular, random_unimodular, random_vector
+from helpers import (
+    babai_coeffs,
+    box_cvp,
+    box_min_distance,
+    gram_schmidt_norms2,
+    random_nonsingular,
+    random_unimodular,
+    random_vector,
+)
 
 BENCH = IntMat([[48, 17], [8, 46]])
 
@@ -208,6 +218,134 @@ def test_min_distance_l1_linf_match_brute_force():
                 ]
                 best = min(best, norm_of(point, norm))
             assert got == best
+
+
+def outcome(f, *args, **kwargs):
+    """The result of a call, or the class of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:  # compared by class against the oracle
+        return type(exc)
+
+
+def differential_targets(rng, b):
+    """A rational target, a lattice point, a point half a basis column
+    off one, and an all-half-integer target."""
+    n = b.rows
+    point = b @ random_vector(rng, n, -3, 3)
+    j = rng.randrange(n)
+    return [
+        [Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(n)],
+        list(point),
+        [point[i] + Fraction(b[i, j], 2) for i in range(n)],
+        [Fraction(2 * rng.randint(-20, 20) + 1, 2) for _ in range(n)],
+    ]
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_sphere_decoding_matches_box_oracle(norm):
+    rng = random.Random({"l1": 31, "l2": 37, "linf": 41}[norm.value])
+    raised = 0
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        if trial % 3 == 0:  # diagonal bases: exact ties in every norm
+            b = IntMat.diag([rng.choice([1, 2, 2, 3, 4, 6]) for _ in range(n)])
+        else:
+            b = random_nonsingular(rng, n, -6, 6)
+        cap = rng.choice([50, 500, 3000])
+        for t in differential_targets(rng, b):
+            got = outcome(cvp, b, t, norm, cap=cap)
+            assert got == outcome(box_cvp, b, t, norm, cap=cap), (b, t, cap)
+            raised += got is EnumerationCapError
+        got = outcome(min_distance, b, norm, cap=cap)
+        assert got == outcome(box_min_distance, b, norm, cap=cap), (b, cap)
+    assert raised > 0
+    bad_inputs = [
+        (IntMat([[1, 2], [2, 4]]), [1, 1]),
+        (IntMat([[1, 0, 0], [0, 1, 0]]), [1, 1]),
+        (IntMat.identity(7), [1] * 7),
+        (IntMat.identity(2), [1, 2, 3]),
+    ]
+    for b, t in bad_inputs:
+        want = outcome(box_cvp, b, t, norm)
+        assert isinstance(want, type) and outcome(cvp, b, t, norm) is want
+    for b, _ in bad_inputs[:3]:
+        want = outcome(box_min_distance, b, norm)
+        assert isinstance(want, type) and outcome(min_distance, b, norm) is want
+
+
+def test_min_distance_returns_int():
+    rng = random.Random(43)
+    bases = [BENCH, 2 * BENCH, smith(BENCH).lam, IntMat.diag([3, 5])]
+    bases += [random_nonsingular(rng, rng.randint(1, 4), -6, 6) for _ in range(10)]
+    for b in bases:
+        for norm in Norm:
+            assert type(min_distance(b, norm)) is int, (b, norm)
+
+
+def test_enum_cap_trips_as_before_on_bench_pair(monkeypatch):
+    monkeypatch.setenv("MDCRT_ENUM_CAP", "60")
+    rng = random.Random(47)
+    bases = [BENCH, 2 * BENCH, smith(BENCH).lam, smith(2 * BENCH).lam]
+    seen = set()
+    for b in bases:
+        for norm in Norm:
+            want = outcome(box_min_distance, b, norm, cap=60)
+            assert outcome(min_distance, b, norm) == want
+            for _ in range(25):
+                t = [rng.randint(-3000, 3000), Fraction(rng.randint(-9000, 9000), 3)]
+                got = outcome(cvp, b, t, norm)
+                assert got == outcome(box_cvp, b, t, norm, cap=60), (b, t, norm)
+                seen.add(got is EnumerationCapError)
+    assert seen == {True, False}
+
+
+def test_certificate_skips_search_only_inside_certified_ball(monkeypatch):
+    calls = []
+    search = lattice._sphere_decode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_sphere_decode", counting)
+    rng = random.Random(53)
+    skew = IntMat([[9, 7], [1, 1]])  # Babai is often not optimal here
+    inside = outside = 0
+    for b in (BENCH, smith(BENCH).lam, skew):
+        gmin = min(gram_schmidt_norms2(b)[1])
+        n = b.rows
+        for norm in Norm:
+            for _ in range(60):
+                v0 = b @ random_vector(rng, n, -3, 3)
+                t = [x + rng.randint(-30, 30) for x in v0]
+                seed = babai_coeffs(b, t)
+                seed_point = b @ IntVec(seed)
+                diff = [p - x for p, x in zip(seed_point, t)]
+                if norm is Norm.L2:
+                    r2 = sum(x * x for x in diff)
+                elif norm is Norm.L1:
+                    r2 = sum(abs(x) for x in diff) ** 2
+                else:
+                    r2 = n * max(abs(x) for x in diff) ** 2
+                calls.clear()
+                got = cvp(b, t, norm)
+                if r2 == 0:
+                    assert got == seed_point and not calls
+                elif 4 * r2 < gmin:
+                    inside += 1
+                    assert got == seed_point and not calls, (b, t, norm)
+                    assert got == box_cvp(b, t, norm)
+                else:
+                    outside += 1
+                    assert len(calls) == 1, (b, t, norm)
+                    assert got == box_cvp(b, t, norm)
+    assert inside > 50 and outside > 50
+    # on the boundary 4 r2 == gmin the search runs and finds the tie
+    calls.clear()
+    assert babai_coeffs(IntMat.diag([2, 2]), [1, 0]) == (1, 0)
+    assert cvp(IntMat.diag([2, 2]), [1, 0]) == IntVec([0, 0])
+    assert len(calls) == 1
 
 
 def test_lattices_equal():

@@ -307,6 +307,24 @@ def test_operator_norm_upper():
     assert float(sigma) == pytest.approx(true, abs=1e-6)
 
 
+def test_operator_norm_upper_non_square():
+    rng = random.Random(29)
+    mats = [IntMat([[1, 2, 3], [4, 5, 6]]), IntMat([[1, 2], [3, 4], [5, 6]])]
+    mats += [
+        IntMat([[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)])
+        for r, c in ((2, 3), (3, 2)) * 20
+    ]
+    for a in mats:
+        rows = [list(a.row(i)) for i in range(a.rows)]
+        col_sums = [sum(abs(rows[i][j]) for i in range(a.rows)) for j in range(a.cols)]
+        row_sums = [sum(abs(x) for x in row) for row in rows]
+        assert operator_norm_upper(a, Norm.L1) == max(col_sums), a
+        assert operator_norm_upper(a, Norm.LINF) == max(row_sums), a
+        assert operator_norm_upper(a, Norm.L2) == charpoly_operator_norm_l2(a), a
+    assert operator_norm_upper(mats[0], Norm.L1) == 9
+    assert operator_norm_upper(mats[0], Norm.LINF) == 15
+
+
 def test_operator_norm_l2_matches_charpoly_oracle():
     rng = random.Random(23)
     special = []
