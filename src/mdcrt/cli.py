@@ -38,8 +38,12 @@ from .robust import (
 __all__ = ["main", "emit_csv", "parse_matrix_file"]
 
 
-# most points an SNR grid may have; a finer grid is a usage error
-MAX_SNR_POINTS = 10_000
+# most points an SNR or tau grid may have; a finer grid is a usage error
+MAX_GRID_POINTS = 10_000
+
+# largest |SNR| in dB: keeps the noise level 10^(-snr/20) and the spectra
+# of noisy records far inside the float range
+MAX_ABS_SNR_DB = 1000.0
 
 
 class UsageError(Exception):
@@ -134,16 +138,15 @@ def emit_csv(rows, header, out, meta: dict) -> None:
             fh.write(text)
 
 
-def _number(kind, positive=False):
-    """argparse type: a finite number of ``kind``, strictly positive when
-    ``positive`` is set."""
+def _number(kind, low=-math.inf, high=math.inf):
+    """argparse type: a finite number of ``kind`` in [low, high]."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not (0 if positive else -math.inf) < value < math.inf:
+        if not (-math.inf < value < math.inf and low <= value <= high):
             raise argparse.ArgumentTypeError(f"out of range: {text!r}")
         return value
 
@@ -174,7 +177,12 @@ def _parse_taus(spec: str) -> list[int]:
         ) from None
     if step == 0:
         raise argparse.ArgumentTypeError("range step must be nonzero")
-    return list(range(start, stop + 1, step))
+    taus = range(start, stop + 1, step)
+    if not 0 < len(taus) <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {spec!r} must hold 1 to {MAX_GRID_POINTS} values"
+        )
+    return list(taus)
 
 
 def _norm_arg(s: str) -> Norm:
@@ -242,18 +250,23 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("fig1", help="robustness sweep over error bounds (CSV)")
     sp.add_argument("--config", help="JSON with custom cases")
     sp.add_argument("--taus", type=_parse_taus, default="0:30:2")
-    sp.add_argument("--trials", type=_number(int, positive=True), default=500)
+    sp.add_argument("--trials", type=_number(int, 1), default=500)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     sp.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
     sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("freqest", help="SNR sweep of sub-Nyquist frequency estimation (CSV)")
-    sp.add_argument("--snr-start", type=_number(float), default=-38.0)
-    sp.add_argument("--snr-stop", type=_number(float), default=-20.0)
-    sp.add_argument("--snr-step", type=_number(float, positive=True), default=2.0)
-    sp.add_argument("--trials", type=_number(int, positive=True), default=300)
-    sp.add_argument("--seed", type=int, default=0)
+    snr_db = _number(float, -MAX_ABS_SNR_DB, MAX_ABS_SNR_DB)
+    sp.add_argument("--snr-start", type=snr_db, default=-38.0)
+    sp.add_argument("--snr-stop", type=snr_db, default=-20.0)
+    # the smallest positive float as the floor keeps the step above 0
+    sp.add_argument(
+        "--snr-step", type=_number(float, math.nextafter(0.0, 1.0)), default=2.0
+    )
+    sp.add_argument("--trials", type=_number(int, 1), default=300)
+    # numpy's SeedSequence takes nonnegative seeds only
+    sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.add_argument(
         "--case",
         action="append",
@@ -443,10 +456,12 @@ def _cmd_fig1(args) -> int:
 def _snr_grid(start: float, stop: float, step: float) -> list[float]:
     """start + k * step up to stop (1e-9 slack), rounded to 10 decimals;
     an integer count k keeps large or fine grids from stalling."""
-    count = math.floor((stop - start + 1e-9) / step) + 1
-    if count > MAX_SNR_POINTS:
-        raise UsageError(f"SNR grid of {count} points exceeds {MAX_SNR_POINTS}")
-    return [round(start + k * step, 10) for k in range(count)]
+    span = (stop - start + 1e-9) / step
+    if span < 0:
+        raise UsageError("empty SNR grid: --snr-stop is below --snr-start")
+    if span >= MAX_GRID_POINTS:
+        raise UsageError(f"SNR grid exceeds {MAX_GRID_POINTS} points")
+    return [round(start + k * step, 10) for k in range(math.floor(span) + 1)]
 
 
 def _cmd_freqest(args) -> int:

@@ -458,3 +458,39 @@ def unitarity_defect(mod: IntMat) -> float:
         want = d if mod_reduce(k, mod.T).value == IntVec([0] * dim) else 0.0
         worst = max(worst, abs(total - want))
     return worst
+
+
+def reference_sample_signal(model, modulus: IntMat, rng=None):
+    """``sample_signal`` by the direct route: a fresh tone per call, two
+    ``normal(0, sigma)`` draws (real part first) and one complex add."""
+    import numpy as np
+
+    from mdcrt import ConditionViolatedError, SignalSamples, sampling_plan
+
+    plan = sampling_plan(modulus)
+    digits = plan.digits_of_bin(model.freq)
+    vals = np.complex128(model.amplitude)
+    for s, l in zip(digits, plan.lambdas):
+        vals = np.multiply.outer(vals, np.exp(2j * np.pi * s * np.arange(l) / l))
+    vals = vals.reshape(plan.shape)
+    if model.sigma > 0:
+        if rng is None:
+            raise ConditionViolatedError("noisy synthesis needs a generator")
+        noise = rng.normal(0.0, model.sigma, plan.shape) + 1j * rng.normal(
+            0.0, model.sigma, plan.shape
+        )
+        vals = vals + noise
+    return SignalSamples(plan, vals)
+
+
+def reference_peak(spectrum) -> IntVec:
+    """``DftSpectrum.peak`` through ``argwhere``: every bin of maximal
+    magnitude, the lexicographically smallest bin vector among them."""
+    import numpy as np
+
+    mags = np.abs(spectrum.values)
+    tied = [
+        spectrum.plan.bin_of_digits(tuple(int(i) for i in idx))
+        for idx in np.argwhere(mags == mags.max())
+    ]
+    return min(tied, key=lambda k: k.entries)

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdcrt
 from mdcrt.cli import emit_csv, main, parse_matrix_file
@@ -275,6 +280,12 @@ def run_cli_subprocess(argv, **env):
         ["freqest", "--snr-start=-inf"],
         ["freqest", "--snr-step", "inf"],
         ["freqest", "--snr-start", "0", "--snr-stop", "1", "--snr-step", "1e-6"],
+        ["freqest", "--snr-step", "5e-324"],
+        ["freqest", "--seed", "-1"],
+        ["freqest", "--snr-start=-1e308", "--snr-stop=-1e308"],
+        ["freqest", "--snr-start", "-20", "--snr-stop", "-30"],
+        ["fig1", "--taus", "4:0:1"],
+        ["fig1", "--taus", "0:1000000000000"],
     ],
     ids=" ".join,
 )
@@ -293,3 +304,96 @@ def test_bad_enum_cap_is_a_domain_error():
     payload = json.loads(proc.stderr)
     assert payload["error"]["code"] == "CONDITION_VIOLATED"
     assert "MDCRT_ENUM_CAP" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "freq", ["0,0", f"{10**200},1", "1,-1,0"], ids=["zero", "huge", "3-d"]
+)
+def test_degenerate_frequency_is_a_domain_error(capsys, freq):
+    """A zero frequency has no relative error and a huge one overflows
+    it; both, like a wrong dimension, are domain errors."""
+    argv = ["freqest", "--freq", freq, "--trials", "1", "--case", "base",
+            "--snr-start", "0", "--snr-stop", "0"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "code" in json.loads(err)["error"]
+
+
+# argument values that are not finite, or not numbers, or far out of range
+_WILD = ["inf", "-inf", "nan", "1e308", "-1e308", "x", ""]
+
+
+def _mostly(valid):
+    """``valid`` three times in four, else a wild value."""
+    return st.one_of(valid, valid, valid, st.sampled_from(_WILD))
+
+
+_SEEDS = _mostly(st.one_of(st.integers(-3, 3), st.sampled_from([-(10**30), 10**30])))
+_TRIALS = st.one_of(st.integers(1, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _taus(draw):
+    values = st.sampled_from([-3, 0, 2, 30, 10**7, 10**30])
+    if draw(st.booleans()):
+        return ",".join(map(str, draw(st.lists(values, max_size=3))))
+    start = draw(values)
+    step = draw(st.sampled_from([-2, -1, 0, 1, 2]))
+    k = draw(st.integers(-1, 2))  # at most 3 values
+    return f"{start}:{start + (k - 1) * step}:{step}"
+
+
+@st.composite
+def _snr_grid(draw):
+    start = draw(st.sampled_from(
+        [-38.0, -20.0, 0.0, 20.0, -1000.0, 1000.0, -1e308, 1e308, 5e-324]
+    ))
+    step = draw(st.sampled_from([2.0, 0.5, 1e308, 5e-324, -2.0, 0.0]))
+    k = draw(st.integers(-1, 2))  # at most 3 points
+    return [repr(start), repr(start + k * step), repr(step)]
+
+
+_FREQS = st.lists(
+    st.sampled_from([0, 1, -1645, 1645, 1373, 10**155, -(10**200)]),
+    min_size=1,
+    max_size=3,
+).map(lambda f: ",".join(map(str, f)))
+
+
+@st.composite
+def _fig1_argv(draw):
+    return [
+        "fig1",
+        f"--taus={draw(_mostly(_taus()))}",
+        f"--trials={draw(_TRIALS)}",
+        f"--seed={draw(_SEEDS)}",
+        f"--algorithm={draw(st.sampled_from([1, 2]))}",
+    ]
+
+
+@st.composite
+def _freqest_argv(draw):
+    start, stop, step = draw(_snr_grid())
+    argv = [
+        "freqest",
+        f"--snr-start={draw(_mostly(st.just(start)))}",
+        f"--snr-stop={draw(_mostly(st.just(stop)))}",
+        f"--snr-step={draw(_mostly(st.just(step)))}",
+        f"--trials={draw(_TRIALS)}",
+        f"--seed={draw(_SEEDS)}",
+        "--case=base",  # one case keeps each run short
+    ]
+    if draw(st.booleans()):
+        argv.append(f"--freq={draw(_mostly(_FREQS))}")
+    return argv
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True, database=None)
+@given(argv=st.one_of(_fig1_argv(), _freqest_argv()))
+def test_cli_contract_on_generated_numbers(argv):
+    """Every run exits 0, 1 or 2 without an escaping exception."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -21,7 +21,13 @@ from mdcrt import (
     sampling_plan,
     snr_sweep,
 )
-from helpers import random_nonsingular, unitarity_defect
+from mdcrt import ConditionViolatedError, freqest
+from helpers import (
+    random_nonsingular,
+    reference_peak,
+    reference_sample_signal,
+    unitarity_defect,
+)
 
 SMALL = IntMat([[5, 1], [2, 7]])  # |det| = 33
 
@@ -189,3 +195,107 @@ def test_snr_sweep_deterministic():
     name, snr, p, err = one[0]
     assert name == "base" and snr == -20.0
     assert 0.0 <= p <= 1.0 and err >= 0.0
+
+
+def _default_moduli():
+    _, cases = default_sweep_cases()
+    return [mi for _, rm in cases for mi in rm.moduli]
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+def test_noise_level_must_be_finite_and_nonnegative(sigma):
+    # a nan level would otherwise pass for noiseless, an infinite one
+    # would leave the spectrum without a peak
+    with pytest.raises(ConditionViolatedError):
+        SignalModel(IntVec([1, 2]), sigma=sigma)
+
+
+def test_sample_signal_matches_reference_bytes_and_stream():
+    """The cached tone plus one 2N draw equals a fresh tone plus two
+    ``normal`` draws byte for byte, and leaves the generator in the same
+    state."""
+    f, _ = default_sweep_cases()
+    for mi in _default_moduli() + [SMALL]:
+        for seed, sigma in enumerate((0.0, 1e-3, 0.3, 17.0)):
+            for amplitude in (1.0, 1.5, 0.0, 0.6 - 0.8j):
+                model = SignalModel(f, amplitude, sigma)
+                rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                got = sample_signal(model, mi, rng)
+                want = reference_sample_signal(model, mi, ref_rng)
+                assert got.values.dtype == want.values.dtype
+                assert got.values.tobytes() == want.values.tobytes()
+                assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def test_noiseless_tone_is_cached_and_read_only():
+    f1 = IntVec([12, 91])
+    f2 = f1 + SMALL @ IntVec([4, -7])  # same remainder, so same digits
+    s1 = sample_signal(SignalModel(f1), SMALL)
+    assert sample_signal(SignalModel(f2), SMALL).values is s1.values
+    with pytest.raises(ValueError):
+        s1.values[0, 0] = 0
+    assert isinstance(freqest._tone.cache_info().maxsize, int)
+
+
+def test_tone_cache_returns_no_stale_tone():
+    f = IntVec([12, 91])
+    models = [
+        SignalModel(f),
+        SignalModel(f + IntVec([1, 0])),  # other digits
+        SignalModel(f, amplitude=2.0),
+        SignalModel(f, amplitude=0.0),
+        SignalModel(f, amplitude=complex(-0.0, 0.0)),  # equal to 0, other bits
+    ]
+    for _ in range(2):  # the second pass reads the cache
+        tones = [sample_signal(m, SMALL).values for m in models]
+        for model, tone in zip(models, tones):
+            want = reference_sample_signal(model, SMALL).values
+            assert tone.tobytes() == want.tobytes()
+    assert len({t.tobytes() for t in tones}) == len(models)
+
+
+def _spectrum(plan, values):
+    return freqest.DftSpectrum(plan, np.asarray(values, dtype=np.complex128))
+
+
+def test_peak_matches_argwhere_oracle_on_random_spectra():
+    rng = np.random.default_rng(29)
+    plans = [sampling_plan(m) for m in (SMALL, IntMat([[20, 1], [2, 21]]))]
+    plans.append(sampling_plan(_default_moduli()[2]))  # grid (2, 33152)
+    for plan in plans:
+        for _ in range(5):
+            values = rng.standard_normal(plan.shape) + 1j * rng.standard_normal(plan.shape)
+            spectrum = _spectrum(plan, values)
+            assert spectrum.peak() == reference_peak(spectrum)
+
+
+def test_peak_ties_break_to_smallest_bin_vector():
+    # a constant spectrum ties every bin
+    for mod in (SMALL, IntMat([[20, 1], [2, 21]])):
+        plan = sampling_plan(mod)
+        spectrum = _spectrum(plan, np.full(plan.shape, 2.5 - 1j))
+        assert spectrum.peak() == reference_peak(spectrum) == min(
+            plan.bins(), key=lambda k: k.entries
+        )
+    # two or three tied bins on the (2, N) grid whose digit order and bin
+    # vector order disagree, with equal magnitudes from unequal values
+    plan = sampling_plan(_default_moduli()[2])
+    assert plan.shape[0] == 2
+    pick = random.Random(31)
+    rng = np.random.default_rng(31)
+    for count in (2, 3, 2, 3):
+        while True:
+            digits = sorted(
+                {tuple(pick.randrange(l) for l in plan.shape) for _ in range(count)}
+            )
+            bins = [plan.bin_of_digits(s) for s in digits]
+            if len(digits) == count and bins[0].entries > min(b.entries for b in bins):
+                break
+        values = 4.9 * rng.random(plan.shape) * np.exp(2j * np.pi * rng.random(plan.shape))
+        for s, v in zip(digits, (3 + 4j, -5.0, 5j)):
+            values[s] = v  # |v| = 5 exactly
+        spectrum = _spectrum(plan, values)
+        want = min(bins, key=lambda k: k.entries)
+        assert spectrum.peak() == reference_peak(spectrum) == want
+        assert want != bins[0]  # the first tied digit tuple loses
