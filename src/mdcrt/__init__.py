@@ -37,11 +37,9 @@ from .divisibility import (
     is_left_coprime,
     is_right_coprime,
     lclm,
-    lclm_list,
     lcrm,
     lcrm_list,
     left_divides,
-    right_divides,
 )
 from .residue import (
     Residue,

@@ -239,10 +239,10 @@ class CcSolver:
         factors = list(factors)
         if not factors:
             raise ShapeError("at least one factor required")
-        dim = factors[0].rows
-        if prefix is not None and not is_unimodular(prefix):
+        if prefix is None:
+            prefix = IntMat.identity(factors[0].rows)
+        elif not is_unimodular(prefix):
             raise ConditionViolatedError("prefix must be unimodular")
-        self.prefix = prefix if prefix is not None else IntMat.identity(dim)
         for f in factors:
             if det(f) == 0:
                 raise SingularMatrixError("factor is singular")
@@ -252,19 +252,48 @@ class CcSolver:
                     raise ConditionViolatedError(
                         f"factors {i} and {j} do not commute"
                     )
+        if w_hats is None:
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    if not is_left_coprime(factors[i], factors[j]):
+                        raise ConditionViolatedError(
+                            f"factors {i} and {j} are not coprime"
+                        )
+        elif len(w_hats) != len(factors):
+            raise ShapeError("one w_hat per factor required")
+        self._build(factors, prefix, w_hats)
+
+    def _with_prefix(self, prefix: IntMat) -> "CcSolver":
+        """Solver for the moduli prefix @ factors[i] over the same factors.
+
+        Only the new prefix is checked: the commute and coprime checks
+        this instance passed at construction depend on the factors alone.
+        """
+        if not is_unimodular(prefix):
+            raise ConditionViolatedError("prefix must be unimodular")
+        solver = object.__new__(CcSolver)
+        solver._build(self.factors, prefix, None)
+        return solver
+
+    def _build(
+        self,
+        factors: list[IntMat],
+        prefix: IntMat,
+        w_hats: Sequence[IntMat] | None,
+    ) -> None:
+        dim = prefix.rows
+        self.prefix = prefix
         self.factors = factors
-        self.moduli = [self.prefix @ f for f in factors]
+        self.moduli = [prefix @ f for f in factors]
 
         product = factors[0]
         for f in factors[1:]:
             product = product @ f
         self.factor_product = product
-        self.modulus = self.prefix @ product
+        self.modulus = prefix @ product
 
         if w_hats is not None:
             self.w_hats = list(w_hats)
-            if len(self.w_hats) != len(factors):
-                raise ShapeError("one w_hat per factor required")
             for i, wh in enumerate(self.w_hats):
                 residual = IntMat.identity(dim) - self._weight_matrix(i) @ wh
                 if exact_left_quotient(self.moduli[i], residual) is None:
@@ -272,12 +301,6 @@ class CcSolver:
                         f"supplied inverse {i} fails its Bezout identity"
                     )
         else:
-            for i in range(len(factors)):
-                for j in range(i + 1, len(factors)):
-                    if not is_left_coprime(factors[i], factors[j]):
-                        raise ConditionViolatedError(
-                            f"factors {i} and {j} are not coprime"
-                        )
             self.w_hats = [
                 IntMat([[0] * dim for _ in range(dim)])
                 if is_unimodular(f)

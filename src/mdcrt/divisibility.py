@@ -36,11 +36,9 @@ __all__ = [
     "lcrm",
     "lclm",
     "lcrm_list",
-    "lclm_list",
     "is_left_coprime",
     "is_right_coprime",
     "left_divides",
-    "right_divides",
     "commutes",
     "circulant2_coprime",
     "exact_left_quotient",
@@ -72,10 +70,6 @@ def _check_nonsingular(*ms: IntMat) -> None:
 
 def left_divides(a: IntMat, m: IntMat) -> bool:
     return exact_left_quotient(a, m) is not None
-
-
-def right_divides(a: IntMat, m: IntMat) -> bool:
-    return exact_left_quotient(a.T, m.T) is not None
 
 
 def hermite_canonical(a: IntMat) -> IntMat:
@@ -203,10 +197,6 @@ def lcrm_list(ms, canonical: bool = True) -> IntMat:
     for m in ms[1:]:
         acc = lcrm(acc, m, canonical=False)
     return hermite_canonical(acc) if canonical else acc
-
-
-def lclm_list(ms, canonical: bool = True) -> IntMat:
-    return lcrm_list([m.T for m in ms], canonical=canonical).T
 
 
 def is_left_coprime(m: IntMat, n: IntMat) -> bool:

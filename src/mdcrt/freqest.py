@@ -320,7 +320,12 @@ def estimate_frequency(
 
 
 def _sigma_for_snr(snr_db: float, amplitude: complex) -> float:
-    return abs(amplitude) * 10.0 ** (-snr_db / 20.0) / math.sqrt(2.0)
+    try:
+        return abs(amplitude) * 10.0 ** (-snr_db / 20.0) / math.sqrt(2.0)
+    except OverflowError:
+        raise ConditionViolatedError(
+            f"noise level for {snr_db} dB overflows a float"
+        ) from None
 
 
 def snr_sweep(
@@ -347,11 +352,11 @@ def snr_sweep(
             "relative error needs a nonzero frequency with |f|^2 below 2^1022"
         )
     fnorm = math.sqrt(f2)
+    sigmas = [_sigma_for_snr(snr, amplitude) for snr in snrs_db]
     rows = []
     for ci, (name, rm) in enumerate(cases):
         truth = tuple(folding_vector(freq, mi) for mi in rm.moduli)
-        for si, snr in enumerate(snrs_db):
-            sigma = _sigma_for_snr(snr, amplitude)
+        for si, (snr, sigma) in enumerate(zip(snrs_db, sigmas)):
             model = SignalModel(freq, amplitude, sigma)
             detected = 0
             rel_sum = 0.0

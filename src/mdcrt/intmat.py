@@ -4,6 +4,13 @@ Everything in this module is arbitrary-precision and exact: entries are
 Python ints, rational results are `fractions.Fraction`, and no floating
 point appears anywhere. Values are immutable after construction and all
 operations are pure, so they are safe to share between threads.
+
+The determinant and the adjugate come together from one fraction-free
+(Bareiss) Gauss-Jordan pass over [a | I], whose every division is exact;
+only singular input falls back to cofactor expansion, since a rank n-1
+matrix still has a nonzero adjugate. The public constructors check every
+entry; results of arithmetic on already-checked values are built through
+the unchecked ``_of`` constructors.
 """
 
 from __future__ import annotations
@@ -48,6 +55,13 @@ class IntVec:
             raise ShapeError("vector must have dimension >= 1")
         object.__setattr__(self, "_e", e)
 
+    @classmethod
+    def _of(cls, e: tuple[int, ...]) -> "IntVec":
+        """Wrap a nonempty tuple of ints without checking it."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "_e", e)
+        return v
+
     @property
     def dim(self) -> int:
         return len(self._e)
@@ -68,15 +82,17 @@ class IntVec:
     def __add__(self, other: "IntVec") -> "IntVec":
         if len(self._e) != len(other):
             raise ShapeError("vector dimensions differ")
-        return IntVec(a + b for a, b in zip(self._e, other))
+        e = tuple(a + b for a, b in zip(self._e, other))
+        return IntVec._of(e) if isinstance(other, IntVec) else IntVec(e)
 
     def __sub__(self, other: "IntVec") -> "IntVec":
         if len(self._e) != len(other):
             raise ShapeError("vector dimensions differ")
-        return IntVec(a - b for a, b in zip(self._e, other))
+        e = tuple(a - b for a, b in zip(self._e, other))
+        return IntVec._of(e) if isinstance(other, IntVec) else IntVec(e)
 
     def __neg__(self) -> "IntVec":
-        return IntVec(-a for a in self._e)
+        return IntVec._of(tuple(-a for a in self._e))
 
     def __rmul__(self, c: int) -> "IntVec":
         return IntVec(c * a for a in self._e)
@@ -95,11 +111,6 @@ class IntVec:
         return IntVec([0] * dim)
 
 
-def as_ivec(v) -> IntVec:
-    """Coerce a sequence of ints (or an IntVec) to IntVec."""
-    return v if isinstance(v, IntVec) else IntVec(v)
-
-
 class IntMat:
     """Immutable integer matrix in row-major order."""
 
@@ -113,6 +124,13 @@ class IntMat:
         if any(len(row) != w for row in r):
             raise ShapeError("ragged rows")
         object.__setattr__(self, "_r", r)
+
+    @classmethod
+    def _of(cls, r: tuple[tuple[int, ...], ...]) -> "IntMat":
+        """Wrap a nonempty rectangular tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_r", r)
+        return m
 
     @property
     def rows(self) -> int:
@@ -149,41 +167,50 @@ class IntMat:
 
     @property
     def T(self) -> "IntMat":
-        return IntMat(zip(*self._r))
+        return IntMat._of(tuple(zip(*self._r)))
 
     def __matmul__(self, other):
         if isinstance(other, IntVec):
             if self.cols != other.dim:
                 raise ShapeError("matrix/vector dimensions differ")
-            return IntVec(
-                sum(a * b for a, b in zip(row, other)) for row in self._r
+            e = other._e
+            return IntVec._of(
+                tuple(sum(a * b for a, b in zip(row, e)) for row in self._r)
             )
         if isinstance(other, IntMat):
             if self.cols != other.rows:
                 raise ShapeError("matrix dimensions differ")
-            cols = other.T._r
-            return IntMat(
-                (sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._r
+            cols = tuple(zip(*other._r))
+            return IntMat._of(
+                tuple(
+                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                    for row in self._r
+                )
             )
         return NotImplemented
 
     def __add__(self, other: "IntMat") -> "IntMat":
         if self.shape != other.shape:
             raise ShapeError("matrix shapes differ")
-        return IntMat(
-            (a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._r, other._r)
+        return IntMat._of(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
+                for r1, r2 in zip(self._r, other._r)
+            )
         )
 
     def __sub__(self, other: "IntMat") -> "IntMat":
         if self.shape != other.shape:
             raise ShapeError("matrix shapes differ")
-        return IntMat(
-            (a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self._r, other._r)
+        return IntMat._of(
+            tuple(
+                tuple(a - b for a, b in zip(r1, r2))
+                for r1, r2 in zip(self._r, other._r)
+            )
         )
 
     def __neg__(self) -> "IntMat":
-        return IntMat((-a for a in row) for row in self._r)
+        return IntMat._of(tuple(tuple(-a for a in row) for row in self._r))
 
     def __rmul__(self, c: int) -> "IntMat":
         return IntMat((c * a for a in row) for row in self._r)
@@ -214,11 +241,7 @@ class IntMat:
     def hstack(a: "IntMat", b: "IntMat") -> "IntMat":
         if a.rows != b.rows:
             raise ShapeError("row counts differ")
-        return IntMat(ra + rb for ra, rb in zip(a._r, b._r))
-
-
-def as_imat(m) -> IntMat:
-    return m if isinstance(m, IntMat) else IntMat(m)
+        return IntMat._of(tuple(ra + rb for ra, rb in zip(a._r, b._r)))
 
 
 def det(a: IntMat) -> int:
@@ -248,19 +271,13 @@ def det(a: IntMat) -> int:
 
 
 def _minor_det(a: IntMat, drop_i: int, drop_j: int) -> int:
-    rows = [
+    return det(IntMat(
         [x for j, x in enumerate(row) if j != drop_j]
         for i, row in enumerate(a) if i != drop_i
-    ]
-    if not rows:
-        return 1
-    return det(IntMat(rows))
+    ))
 
 
-def adjugate(a: IntMat) -> IntMat:
-    """Adjugate matrix: a @ adjugate(a) == det(a) * I, also for singular a."""
-    if not a.is_square:
-        raise ShapeError("adjugate needs a square matrix")
+def _cofactor_adjugate(a: IntMat) -> IntMat:
     n = a.rows
     if n == 1:
         return IntMat([[1]])
@@ -273,10 +290,60 @@ def adjugate(a: IntMat) -> IntMat:
     )
 
 
+def _det_adj(a: IntMat) -> tuple[int, IntMat]:
+    """(det, adjugate) from one fraction-free Gauss-Jordan pass on [a | I].
+
+    Pivot k replaces every other row i by
+    (row_i * p - row_i[k] * row_k) // prev, an exact division, so the
+    left block ends as prev * I with prev == sign * det(a), and the right
+    block is then sign * adj(a). A pivot column without a nonzero entry
+    means a is singular; its adjugate comes from cofactor expansion.
+    """
+    if not a.is_square:
+        raise ShapeError("determinant and adjugate need a square matrix")
+    n = a.rows
+    m = [
+        list(row) + [1 if j == i else 0 for j in range(n)]
+        for i, row in enumerate(a._r)
+    ]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, _cofactor_adjugate(a)
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = m[i]
+                c = ri[k]
+                m[i] = [(x * p - c * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    if sign == 1:
+        return prev, IntMat._of(tuple(tuple(row[n:]) for row in m))
+    return -prev, IntMat._of(tuple(tuple(-x for x in row[n:]) for row in m))
+
+
+def adjugate(a: IntMat) -> IntMat:
+    """Adjugate matrix: a @ adjugate(a) == det(a) * I, also for singular a.
+
+    One fraction-free Gauss-Jordan pass, with cofactor expansion only for
+    singular a. Uncached, like det.
+    """
+    return _det_adj(a)[1]
+
+
 @lru_cache(maxsize=4096)
 def det_adjugate(a: IntMat) -> tuple[int, IntMat]:
-    """Cached (det, adjugate); values are immutable so sharing is safe."""
-    return det(a), adjugate(a)
+    """Cached (det, adjugate) from the same single pass as adjugate;
+    values are immutable so sharing is safe."""
+    return _det_adj(a)
 
 
 def solve_integer(a: IntMat, v: IntVec) -> IntVec | None:
@@ -307,19 +374,17 @@ def is_unimodular(a: IntMat) -> bool:
 
 def inv_unimodular(a: IntMat) -> IntMat:
     """Exact integer inverse of a unimodular matrix."""
-    d = det(a)
+    d, adj = _det_adj(a)
     if d not in (1, -1):
         raise SingularMatrixError("matrix is not unimodular")
-    adj = adjugate(a)
     return adj if d == 1 else -adj
 
 
 def inv_rational(a: IntMat) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse as a matrix of reduced Fractions."""
-    d = det(a)
+    d, adj = _det_adj(a)
     if d == 0:
         raise SingularMatrixError("matrix is singular")
-    adj = adjugate(a)
     return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 

@@ -98,8 +98,8 @@ class RobustModuli:
             raise ShapeError("cofactor shape differs from common factor")
         self.common = common
         self.cofactors = cofactors
-        self._smith_solvers: dict[IntMat, CcSolver] = {}
-        self.smith_solver(_identity(self.dim))
+        self._solver = CcSolver(cofactors)
+        self._smith_solvers = {_identity(self.dim): self._solver}
 
     @property
     def dim(self) -> int:
@@ -125,10 +125,11 @@ class RobustModuli:
         return smith(self.common)
 
     def smith_solver(self, v: IntMat) -> CcSolver:
-        """Solver for moduli v^{-1} @ cofactor_i, cached per v."""
+        """Solver for moduli v^{-1} @ cofactor_i, cached per v; the
+        cofactor checks of the v = I solver carry over."""
         solver = self._smith_solvers.get(v)
         if solver is None:
-            solver = CcSolver(list(self.cofactors), prefix=inv_unimodular(v))
+            solver = self._solver._with_prefix(inv_unimodular(v))
             self._smith_solvers[v] = solver
         return solver
 

@@ -1,11 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the package's computation paths: the
-cofactor determinant is a textbook recursive expansion, invariant factors
-come from gcds of minors, residue enumeration scans a box, closest and
-shortest lattice vectors come from sweeping the whole coefficient box
-around a rational Babai seed, and the L2 operator norm bisects on the
-characteristic polynomial. Two oracles
+cofactor determinant and adjugate are textbook recursive expansions,
+invariant factors come from gcds of minors, residue enumeration scans a
+box, closest and shortest lattice vectors come from sweeping the whole
+coefficient box around a rational Babai seed, and the L2 operator norm
+bisects on the characteristic polynomial. Two oracles
 reuse package primitives along a different route: the remainder through
 the rational floor, and folding-vector recovery re-anchored by permuting
 the moduli.
@@ -36,6 +36,24 @@ def cofactor_det(rows) -> int:
         ]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def cofactor_adjugate(rows) -> list[list[int]]:
+    """Transposed cofactor matrix by cofactor_det; oracle for adjugate()."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+
+    def minor(i, j):
+        return [
+            [x for c, x in enumerate(row) if c != j]
+            for r, row in enumerate(rows) if r != i
+        ]
+
+    return [
+        [(-1) ** (i + j) * cofactor_det(minor(j, i)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def minors_gcd_invariant_factors(a: IntMat) -> tuple[int, ...]:

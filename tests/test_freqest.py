@@ -197,6 +197,12 @@ def test_snr_sweep_deterministic():
     assert 0.0 <= p <= 1.0 and err >= 0.0
 
 
+def test_snr_sweep_overflowing_noise_level_is_a_domain_error():
+    f, cases = default_sweep_cases()
+    with pytest.raises(ConditionViolatedError):
+        snr_sweep(f, cases[:1], [-7000.0], 1, 0)
+
+
 def _default_moduli():
     _, cases = default_sweep_cases()
     return [mi for _, rm in cases for mi in rm.moduli]

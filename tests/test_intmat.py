@@ -18,11 +18,14 @@ from mdcrt import (
     smith,
     solve_integer,
 )
+from mdcrt.intmat import det_adjugate
 from helpers import (
+    cofactor_adjugate,
     cofactor_det,
     minors_gcd_invariant_factors,
     random_matrix,
     random_nonsingular,
+    random_unimodular,
     run_matrix_invariants,
 )
 
@@ -212,3 +215,122 @@ def test_inv_unimodular_and_solve():
         a = random_nonsingular(rng, 3, -9, 9)
         x = IntVec([rng.randint(-5, 5) for _ in range(3)])
         assert solve_integer(a, a @ x) == x
+
+
+def _oracle_cases():
+    """Square matrices that reach every branch of the one-pass kernel."""
+    cases = [
+        [[5]], [[0]], [[-3]],  # 1x1, including the singular one
+        [[0, 1], [1, 0]],  # zero first pivot
+        [[0, 2, 3], [4, 5, 6], [7, 8, 10]],
+        [[1, 2, 3], [2, 4, 5], [3, 7, 9]],  # swap needed at the second pivot
+        [[2, 1, 1, 0], [4, 2, 3, 1], [2, 3, 1, 1], [0, 1, 1, 5]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # rank n-1: nonzero adjugate
+        [[0, 1], [0, 2]],  # rank n-1 with a zero first column
+        [[1, 2, 0], [2, 4, 0], [0, 0, 3]],  # rank n-1, singular at a later pivot
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9]],  # rank 1: zero adjugate
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ]
+    rng = random.Random(71)
+    for n in (6, 6, 5):
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        hi = 2**70 if rng.random() < 0.3 else 9
+        rows = [
+            [0 if rng.random() < 0.3 else rng.randint(-hi, hi) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.2:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        cases.append(rows)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        cases.append([list(r) for r in random_unimodular(rng, n, 3 * n).entries])
+    return cases
+
+
+def test_det_adjugate_matches_cofactor_oracle():
+    cases = _oracle_cases()
+    assert any(abs(x) > 2**64 for rows in cases for row in rows for x in row)
+    for rows in cases:
+        a = IntMat(rows)
+        d, adj = cofactor_det(rows), IntMat(cofactor_adjugate(rows))
+        # uncached, then cached twice (a miss and a hit)
+        assert (det(a), adjugate(a)) == (d, adj), rows
+        assert det_adjugate(a) == (d, adj), rows
+        assert det_adjugate(a) == (d, adj), rows
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                inv_rational(a)
+        else:
+            assert inv_rational(a) == tuple(
+                tuple(Fraction(x, d) for x in row) for row in adj.entries
+            )
+        if d in (1, -1):
+            assert inv_unimodular(a) == d * adj
+            assert a @ inv_unimodular(a) == IntMat.identity(a.rows)
+        else:
+            with pytest.raises(SingularMatrixError):
+                inv_unimodular(a)
+
+
+def test_constructors_still_check_outside_input():
+    for bad in ([True, 2], [1.0], [1, 2.5], [None]):
+        with pytest.raises(TypeError):
+            IntVec(bad)
+        with pytest.raises(TypeError):
+            IntMat([bad])
+    for bad in ([], [[]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ShapeError):
+            IntMat(bad)
+    with pytest.raises(ShapeError):
+        IntVec([])
+    with pytest.raises(TypeError):
+        IntVec([1, 2]) + (0.5, 1)
+    with pytest.raises(TypeError):
+        IntVec([1, 2]) - (0.5, 1)
+    with pytest.raises(TypeError):
+        2.5 * IntMat([[1]])
+    with pytest.raises(TypeError):
+        2.5 * IntVec([1])
+    with pytest.raises(TypeError):
+        IntMat([[1]]) @ [1.5]
+    assert IntVec([1, 2]) + (3, 4) == IntVec([4, 6])
+
+
+def test_arithmetic_results_equal_checked_construction():
+    """Results built unchecked equal, and hash like, the same values built
+    from plain lists through the checked constructors."""
+    rng = random.Random(79)
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        hi = 2**70 if rng.random() < 0.3 else 9
+
+        def draw(r, c):
+            return [[rng.randint(-hi, hi) for _ in range(c)] for _ in range(r)]
+
+        a, b, c = draw(n, k), draw(n, k), draw(k, n)
+        x, y = draw(1, k)[0], draw(1, k)[0]
+        am, bm, cm, xv, yv = IntMat(a), IntMat(b), IntMat(c), IntVec(x), IntVec(y)
+        def dot(r, s):
+            return sum(p * q for p, q in zip(r, s))
+
+        pairs = [
+            (am @ cm, IntMat([[dot(r, col) for col in zip(*c)] for r in a])),
+            (am @ xv, IntVec([dot(r, x) for r in a])),
+            (am + bm, IntMat([[p + q for p, q in zip(r, s)] for r, s in zip(a, b)])),
+            (am - bm, IntMat([[p - q for p, q in zip(r, s)] for r, s in zip(a, b)])),
+            (am.T, IntMat([list(col) for col in zip(*a)])),
+            (-am, IntMat([[-p for p in r] for r in a])),
+            (IntMat.hstack(am, bm), IntMat([r + s for r, s in zip(a, b)])),
+            (xv + yv, IntVec([p + q for p, q in zip(x, y)])),
+            (xv - yv, IntVec([p - q for p, q in zip(x, y)])),
+            (-xv, IntVec([-p for p in x])),
+        ]
+        if n == k:
+            pairs.append((adjugate(am), IntMat(cofactor_adjugate(a))))
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
+            flat = got.entries if isinstance(got, IntVec) else sum(got.entries, ())
+            assert all(type(e) is int for e in flat)

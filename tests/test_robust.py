@@ -67,6 +67,36 @@ def test_robust_moduli_validation():
         RobustModuli(BENCH, [IntMat.identity(3)])
 
 
+def test_smith_solver_reuses_the_cofactor_checks(monkeypatch):
+    from mdcrt import CcSolver, crt
+
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(crt, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(crt, name, wrapped)
+
+    counting("is_left_coprime")
+    counting("commutes")
+    rm = bench_case()
+    assert calls == Counter(is_left_coprime=1, commutes=1)
+    calls.clear()
+    for v in (IntMat([[1, 1], [0, 1]]), rm.smith_form.v):
+        solver = rm.smith_solver(v)
+        assert not calls
+        fresh = CcSolver(COFS, prefix=inv_unimodular(v))
+        assert solver.moduli == fresh.moduli and solver.modulus == fresh.modulus
+        assert solver.w_hats == fresh.w_hats and solver.weights == fresh.weights
+        calls.clear()
+    with pytest.raises(SingularMatrixError):
+        rm.smith_solver(IntMat([[2, 0], [0, 1]]))  # not unimodular
+
+
 def test_range_contains():
     rm = bench_case()
     assert range_contains(IntVec([0, 0]), rm, 0)
