@@ -301,25 +301,16 @@ def _cmd_gcd_lcm(args) -> int:
     a = parse_matrix_file(args.left)
     b = parse_matrix_file(args.right)
     canonical = not args.raw
-    if args.command == "gcld":
-        cert = gcld(a, b, canonical=canonical)
+    if args.command in ("gcld", "gcrd"):
+        left = args.command == "gcld"
+        cert = (gcld if left else gcrd)(a, b, canonical=canonical)
+        combo = a @ cert.p + b @ cert.q if left else cert.p @ a + cert.q @ b
         _print_json(
             {
                 "l": _mat_json(cert.l),
                 "p": _mat_json(cert.p),
                 "q": _mat_json(cert.q),
-                "identity_holds": a @ cert.p + b @ cert.q == cert.l,
-                "coprime": is_unimodular(cert.l),
-            }
-        )
-    elif args.command == "gcrd":
-        cert = gcrd(a, b, canonical=canonical)
-        _print_json(
-            {
-                "l": _mat_json(cert.l),
-                "p": _mat_json(cert.p),
-                "q": _mat_json(cert.q),
-                "identity_holds": cert.p @ a + cert.q @ b == cert.l,
+                "identity_holds": combo == cert.l,
                 "coprime": is_unimodular(cert.l),
             }
         )

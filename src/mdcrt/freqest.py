@@ -9,8 +9,6 @@ Floating point is confined to this module. All indexing over the residue
 sets is exact: the Smith form of modulus^T puts both N(modulus^T) and
 N(modulus) in bijection with a rectangular digit grid on which the DFT
 kernel is separable, so the transform reduces to ``numpy.fft.fftn``.
-A direct O(|det|^2) summation is kept for cross-validation (same grid
-layout, different arithmetic route) and used by the unitarity checks.
 
 A trial's cost is synthesis, FFT and peak pick. The noiseless tone
 depends only on (modulus, remainder digits, amplitude), so it is built
@@ -22,7 +20,6 @@ same random stream and the same bits as separate real and imaginary
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -33,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditionViolatedError, EnumerationCapError, ShapeError
-from .intmat import IntMat, IntVec, adjugate, det, inv_unimodular, smith
+from .intmat import IntMat, IntVec, det, inv_unimodular, smith
 from .lattice import Norm
 from .residue import default_enum_cap, folding_vector, mod_reduce
 from .robust import (
@@ -58,9 +55,6 @@ __all__ = [
     "snr_sweep",
     "default_sweep_cases",
 ]
-
-_DIRECT_DFT_CAP = 4096
-
 
 @dataclass(frozen=True)
 class SignalModel:
@@ -106,8 +100,6 @@ class SamplingPlan:
         sf = smith(modulus.T)
         self.lambdas = sf.invariant_factors
         self.shape = tuple(self.lambdas)
-        self._u = sf.u
-        self._u_inv = inv_unimodular(sf.u)
         self._vt = sf.v.T
         self._vt_inv = inv_unimodular(sf.v).T
 
@@ -118,27 +110,6 @@ class SamplingPlan:
 
     def bin_of_digits(self, s: Sequence[int]) -> IntVec:
         return mod_reduce(self._vt_inv @ IntVec(s), self.modulus).value
-
-    def point_of_digits(self, t: Sequence[int]) -> IntVec:
-        return mod_reduce(self._u_inv @ IntVec(t), self.modulus.T).value
-
-    def digits_of_point(self, n: IntVec) -> tuple[int, ...]:
-        y = self._u @ n
-        return tuple(e % l for e, l in zip(y, self.lambdas))
-
-    def sample_points(self) -> list[IntVec]:
-        """All of N(modulus^T) in grid (row-major digit) order."""
-        return [
-            self.point_of_digits(t)
-            for t in itertools.product(*(range(l) for l in self.lambdas))
-        ]
-
-    def bins(self) -> list[IntVec]:
-        """All of N(modulus) in grid order."""
-        return [
-            self.bin_of_digits(s)
-            for s in itertools.product(*(range(l) for l in self.lambdas))
-        ]
 
 
 @lru_cache(maxsize=128)
@@ -152,9 +123,6 @@ class SignalSamples:
 
     plan: SamplingPlan
     values: np.ndarray
-
-    def value_at(self, n: IntVec) -> complex:
-        return complex(self.values[self.plan.digits_of_point(n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +149,6 @@ class DftSpectrum:
             if best is None or k.entries < best.entries:
                 best = k
         return best
-
-    def peak_to_mean(self) -> float:
-        mags = np.abs(self.values)
-        return float(mags.max() / mags.mean())
 
 
 @lru_cache(maxsize=8)
@@ -243,48 +207,16 @@ def sample_signal(
     return SignalSamples(plan, vals)
 
 
-def _direct_dft(samples: SignalSamples, cap: int) -> np.ndarray:
-    plan = samples.plan
-    if plan.size > cap:
-        raise EnumerationCapError(
-            f"direct transform of size {plan.size} exceeds cap {cap}"
-        )
-    d = det(plan.modulus)
-    adj_t = adjugate(plan.modulus.T)
-    points = plan.sample_points()
-    bins = plan.bins()
-    dim = plan.modulus.rows
-    max_k = max(max(abs(e) for e in k) for k in bins)
-    max_n = max(max(abs(e) for e in n) for n in points)
-    max_adj = max(abs(e) for row in adj_t for e in row)
-    # k^T adj(M^T) n stays exact in int64 when this product bound holds
-    if dim * dim * max_k * max_adj * max(max_n, 1) < 2**62:
-        dtype = np.int64
-    else:
-        dtype = object
-    k_arr = np.array([k.entries for k in bins], dtype=dtype)
-    n_arr = np.array([n.entries for n in points], dtype=dtype)
-    adj_arr = np.array(adj_t.entries, dtype=dtype)
-    phases = k_arr.dot(adj_arr).dot(n_arr.T) % d
-    kernel = np.exp(-2j * np.pi * phases.astype(np.float64) / d)
-    x = samples.values.reshape(-1)
-    return (kernel @ x).reshape(plan.shape)
+def md_dft(samples: SignalSamples, method: str = "separable") -> DftSpectrum:
+    """DFT of one record: X(k) = sum_n x(n) exp(-j2pi k^T M^-T n), by
+    ``numpy.fft.fftn`` over the Smith digit grid; bins in grid order.
 
-
-def md_dft(samples: SignalSamples, method: str = "direct") -> DftSpectrum:
-    """DFT of one record: X(k) = sum_n x(n) exp(-j2pi k^T M^-T n).
-
-    ``direct`` evaluates the double sum with exactly reduced integer
-    phases (capped size); ``separable`` runs the equivalent FFT over the
-    Smith digit grid. Both return bins in the same grid order.
+    ``method`` accepts only ``"separable"``; the direct O(|det|^2) sum
+    is the test suite's oracle for this transform.
     """
-    if method == "separable":
-        return DftSpectrum(samples.plan, np.fft.fftn(samples.values))
-    if method == "direct":
-        return DftSpectrum(
-            samples.plan, _direct_dft(samples, _DIRECT_DFT_CAP)
-        )
-    raise ValueError("method must be 'direct' or 'separable'")
+    if method != "separable":
+        raise ValueError("method must be 'separable'")
+    return DftSpectrum(samples.plan, np.fft.fftn(samples.values))
 
 
 def detect_remainder(spectrum: DftSpectrum) -> IntVec:

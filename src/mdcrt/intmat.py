@@ -437,7 +437,7 @@ def smith(a: IntMat) -> SmithForm:
                         best = abs(e)
                         pos = (i, j)
             if pos is None:
-                return SmithForm(IntMat(u), IntMat(s), IntMat(v))
+                return _smith_form(u, s, v)
             pi, pj = pos
             if pi != t:
                 s[t], s[pi] = s[pi], s[t]
@@ -489,4 +489,9 @@ def smith(a: IntMat) -> SmithForm:
             s[t] = [x + y for x, y in zip(s[t], s[bi])]
             u[t] = [x + y for x, y in zip(u[t], u[bi])]
 
-    return SmithForm(IntMat(u), IntMat(s), IntMat(v))
+    return _smith_form(u, s, v)
+
+
+def _smith_form(u, s, v) -> SmithForm:
+    # every entry is int arithmetic on the checked input's entries
+    return SmithForm(*(IntMat._of(tuple(map(tuple, m))) for m in (u, s, v)))

@@ -453,14 +453,10 @@ def robustness_trials(
     index), so results do not depend on evaluation order.
     """
     model = ErrorModel(tau, norm)
-    truth_cache: dict[IntVec, tuple[IntVec, ...]] = {}
     for k in range(trials):
         rng = _trial_rng(seed, stream[0], stream[1], k)
         m = sample_in_range(rng, rm, 0, u)
-        folding_true = truth_cache.get(m)
-        if folding_true is None:
-            folding_true = tuple(folding_vector(m, mi) for mi in rm.moduli)
-            truth_cache[m] = folding_true
+        folding_true = tuple(folding_vector(m, mi) for mi in rm.moduli)
         rtilde = tuple(
             mod_reduce(m, mi).value + sample_error(rng, model, rm.dim)
             for mi in rm.moduli

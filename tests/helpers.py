@@ -5,10 +5,11 @@ cofactor determinant and adjugate are textbook recursive expansions,
 invariant factors come from gcds of minors, residue enumeration scans a
 box, closest and shortest lattice vectors come from sweeping the whole
 coefficient box around a rational Babai seed, and the L2 operator norm
-bisects on the characteristic polynomial. Two oracles
-reuse package primitives along a different route: the remainder through
-the rational floor, and folding-vector recovery re-anchored by permuting
-the moduli.
+bisects on the characteristic polynomial, and the multidimensional DFT
+is the direct O(|det|^2) sum over every (bin, point) pair with exactly
+reduced integer phases. Two oracles reuse package primitives along a
+different route: the remainder through the rational floor, and
+folding-vector recovery re-anchored by permuting the moduli.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from mdcrt import IntMat, IntVec
@@ -512,3 +514,95 @@ def reference_peak(spectrum) -> IntVec:
         for idx in np.argwhere(mags == mags.max())
     ]
     return min(tied, key=lambda k: k.entries)
+
+
+# ---------------------------------------------------------------------------
+# the sample-point side of a SamplingPlan's digit grid and the direct DFT
+# over it; the package itself only ever transforms by FFT
+
+
+@lru_cache(maxsize=128)
+def _point_transform(modulus: IntMat):
+    """(u, u^-1) of the Smith form of modulus^T, which ``sampling_plan``
+    also factors: a point n has grid digits <u n> mod the invariant
+    factors."""
+    from mdcrt import inv_unimodular, smith
+
+    u = smith(modulus.T).u
+    return u, inv_unimodular(u)
+
+
+def point_of_digits(plan, t) -> IntVec:
+    from mdcrt import mod_reduce
+
+    u_inv = _point_transform(plan.modulus)[1]
+    return mod_reduce(u_inv @ IntVec(t), plan.modulus.T).value
+
+
+def digits_of_point(plan, n: IntVec) -> tuple[int, ...]:
+    y = _point_transform(plan.modulus)[0] @ n
+    return tuple(e % l for e, l in zip(y, plan.lambdas))
+
+
+def _grid_digits(plan):
+    return itertools.product(*(range(l) for l in plan.lambdas))
+
+
+def sample_points(plan) -> list[IntVec]:
+    """All of N(modulus^T) in grid (row-major digit) order."""
+    return [point_of_digits(plan, t) for t in _grid_digits(plan)]
+
+
+def bins(plan) -> list[IntVec]:
+    """All of N(modulus) in grid order."""
+    return [plan.bin_of_digits(s) for s in _grid_digits(plan)]
+
+
+def value_at(samples, n: IntVec) -> complex:
+    """The sample at point n of a ``SignalSamples`` record."""
+    return complex(samples.values[digits_of_point(samples.plan, n)])
+
+
+def peak_to_mean(spectrum) -> float:
+    import numpy as np
+
+    mags = np.abs(spectrum.values)
+    return float(mags.max() / mags.mean())
+
+
+DIRECT_DFT_CAP = 4096
+
+
+def direct_dft(samples, cap: int = DIRECT_DFT_CAP):
+    """X(k) = sum_n x(n) exp(-j2pi k^T M^-T n) as one kernel matrix of
+    exactly reduced phases k^T adj(M^T) n mod det(M); bins in grid order.
+    Oracle for ``md_dft``."""
+    import numpy as np
+
+    from mdcrt import EnumerationCapError
+
+    plan = samples.plan
+    if plan.size > cap:
+        raise EnumerationCapError(
+            f"direct transform of size {plan.size} exceeds cap {cap}"
+        )
+    d = cofactor_det(plan.modulus.entries)
+    adj_t = cofactor_adjugate(plan.modulus.T.entries)
+    points = sample_points(plan)
+    ks = bins(plan)
+    dim = plan.modulus.rows
+    max_k = max(max(abs(e) for e in k) for k in ks)
+    max_n = max(max(abs(e) for e in n) for n in points)
+    max_adj = max(abs(e) for row in adj_t for e in row)
+    # k^T adj(M^T) n stays exact in int64 when this product bound holds
+    if dim * dim * max_k * max_adj * max(max_n, 1) < 2**62:
+        dtype = np.int64
+    else:
+        dtype = object
+    k_arr = np.array([k.entries for k in ks], dtype=dtype)
+    n_arr = np.array([n.entries for n in points], dtype=dtype)
+    adj_arr = np.array(adj_t, dtype=dtype)
+    phases = k_arr.dot(adj_arr).dot(n_arr.T) % d
+    kernel = np.exp(-2j * np.pi * phases.astype(np.float64) / d)
+    x = samples.values.reshape(-1)
+    return (kernel @ x).reshape(plan.shape)

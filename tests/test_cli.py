@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -82,6 +83,29 @@ def test_gcld_and_coprime(tmp_path, capsys):
     code, out, _ = run(capsys, "coprime", a, b)
     doc = json.loads(out)
     assert doc["left_coprime"] and doc["right_coprime"]
+
+
+def test_gcrd_subcommand(tmp_path, capsys):
+    from mdcrt import gcrd, is_unimodular
+
+    pairs = [
+        ([[4, -1], [-1, 4]], [[7, 4], [4, 7]]),  # coprime
+        ([[4, 0], [0, 6]], [[6, 0], [0, 4]]),  # common right divisor
+        ([[2, 1], [0, 3]], [[4, 2], [1, 6]]),
+    ]
+    for ra, rb in pairs:
+        a = write_json(tmp_path / "a.json", mat_strings(ra))
+        b = write_json(tmp_path / "b.json", mat_strings(rb))
+        for raw in (False, True):
+            code, out, _ = run(capsys, "gcrd", a, b, *(["--raw"] if raw else []))
+            assert code == 0
+            doc = json.loads(out)
+            cert = gcrd(IntMat(ra), IntMat(rb), canonical=not raw)
+            assert doc["l"] == mat_strings(cert.l)
+            assert doc["p"] == mat_strings(cert.p)
+            assert doc["q"] == mat_strings(cert.q)
+            assert doc["identity_holds"] is True
+            assert doc["coprime"] is is_unimodular(cert.l)
 
 
 def test_lcrm_lclm_subcommands(tmp_path, capsys):
@@ -205,6 +229,34 @@ def test_fig1_deterministic_bytes(tmp_path, capsys):
     assert lines[1] == "case,tau,mean_error,success_rate"
     assert len(lines) == 2 + 2 * 2
     assert text.endswith("\n") and "\r" not in text
+
+
+# SHA-256 of the CSV bytes, meta line included, at a fixed seed. The
+# freqest rows are floats from numpy's FFT and generators, so they are
+# pinned for one numpy build; the fig1 rows are exact up to the final
+# float conversions.
+GOLDEN_CSV = {
+    ("fig1", "1", "l2"): "218d1555b41b229362e7fb792f367984c43a162dd16c1bf26f6afbfd0e97ebab",
+    ("fig1", "1", "l1"): "3a38074f341709c138e333601b6a29b03166083c5c1cc043a99d256516274863",
+    ("fig1", "1", "linf"): "c7b94b1e21bd82e91d0c2467a5c22a3d9789818b94b71bed25e06638cc3b633f",
+    ("fig1", "2", "l2"): "674d354b42fef21289e5b29818deb3cc0a38e955f9b28a594af7faf542e19124",
+    ("fig1", "2", "l1"): "f9b550b2b303db34004913fb14aa8ba784f328c9a5c6cef53d28c0afc3938d07",
+    ("fig1", "2", "linf"): "aecc780e183ff89b604132d967d2a22d0c9772618067ba1f1a2c079c0d5f21c7",
+    ("freqest",): "27627f6076ddb31799e42298162cd53d8899ebcc60061c410125d9ca11fcb31b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CSV), ids="-".join)
+def test_csv_bytes_match_golden_digest(tmp_path, capsys, key):
+    if key[0] == "fig1":
+        args = ["fig1", "--trials", "8", "--seed", "7",
+                "--algorithm", key[1], "--norm", key[2]]
+    else:
+        args = ["freqest", "--trials", "5", "--seed", "3"]
+    out = tmp_path / "out.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[key]
 
 
 def test_freqest_csv(tmp_path, capsys):

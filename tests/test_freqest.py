@@ -23,10 +23,17 @@ from mdcrt import (
 )
 from mdcrt import ConditionViolatedError, freqest
 from helpers import (
+    bins,
+    digits_of_point,
+    direct_dft,
+    peak_to_mean,
+    point_of_digits,
     random_nonsingular,
     reference_peak,
     reference_sample_signal,
+    sample_points,
     unitarity_defect,
+    value_at,
 )
 
 SMALL = IntMat([[5, 1], [2, 7]])  # |det| = 33
@@ -34,17 +41,17 @@ SMALL = IntMat([[5, 1], [2, 7]])  # |det| = 33
 
 def test_plan_bijections():
     plan = sampling_plan(SMALL)
-    points = plan.sample_points()
+    points = sample_points(plan)
     assert len(points) == plan.size == 33
     assert len(set(points)) == 33
-    bins = plan.bins()
-    assert len(set(bins)) == 33
+    ks = bins(plan)
+    assert len(set(ks)) == 33
     for s, k in zip(
-        [(0,) * len(plan.lambdas)], [bins[0]]
+        [(0,) * len(plan.lambdas)], [ks[0]]
     ):
         assert plan.bin_of_digits(s) == k
     for n in points[:5]:
-        assert plan.point_of_digits(plan.digits_of_point(n)) == n
+        assert point_of_digits(plan, digits_of_point(plan, n)) == n
 
 
 def test_constant_signal_cases():
@@ -70,13 +77,13 @@ def test_value_at_matches_definition():
     samples = sample_signal(SignalModel(f), SMALL)
     d = det(SMALL)
     adj_t = [[7, -2], [-1, 5]]  # adjugate of SMALL transpose
-    for n in samples.plan.sample_points()[:10]:
+    for n in sample_points(samples.plan)[:10]:
         num = sum(f[i] * sum(adj_t[i][j] * n[j] for j in range(2)) for i in range(2))
         want = complex(
             math.cos(2 * math.pi * (num % d) / d),
             math.sin(2 * math.pi * (num % d) / d),
         )
-        assert samples.value_at(n) == pytest.approx(want, abs=1e-9)
+        assert value_at(samples, n) == pytest.approx(want, abs=1e-9)
 
 
 def test_dft_peak_noiseless():
@@ -112,10 +119,22 @@ def test_direct_vs_separable():
     for mod in (SMALL, IntMat([[6, 1], [-2, 9]]), IntMat([[4, 1], [1, 4]])):
         model = SignalModel(IntVec([31, -17]), amplitude=1.1 - 0.4j, sigma=0.5)
         samples = sample_signal(model, mod, rng)
-        direct = md_dft(samples, method="direct").values
+        direct = direct_dft(samples)
         fast = md_dft(samples, method="separable").values
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - fast)) <= 1e-6 * scale
+
+
+def test_md_dft_fft_is_the_only_route():
+    rng = np.random.default_rng(37)
+    model = SignalModel(IntVec([31, -17]), amplitude=1.1 - 0.4j, sigma=0.5)
+    for mod in (SMALL, _default_moduli()[2]):
+        samples = sample_signal(model, mod, rng)
+        default = md_dft(samples).values
+        named = md_dft(samples, method="separable").values
+        assert default.tobytes() == named.tobytes()
+        with pytest.raises(ValueError):
+            md_dft(samples, method="direct")
 
 
 def test_unitarity_small_sample():
@@ -153,7 +172,7 @@ def test_pure_noise_flagged_by_peak_to_mean():
         method="separable",
     )
     signal = md_dft(sample_signal(SignalModel(IntVec([5, 5])), SMALL))
-    assert signal.peak_to_mean() > 5 * noise_only.peak_to_mean()
+    assert peak_to_mean(signal) > 5 * peak_to_mean(noise_only)
 
 
 def test_estimate_frequency_noiseless():
@@ -282,7 +301,7 @@ def test_peak_ties_break_to_smallest_bin_vector():
         plan = sampling_plan(mod)
         spectrum = _spectrum(plan, np.full(plan.shape, 2.5 - 1j))
         assert spectrum.peak() == reference_peak(spectrum) == min(
-            plan.bins(), key=lambda k: k.entries
+            bins(plan), key=lambda k: k.entries
         )
     # two or three tied bins on the (2, N) grid whose digit order and bin
     # vector order disagree, with equal magnitudes from unequal values
@@ -295,13 +314,13 @@ def test_peak_ties_break_to_smallest_bin_vector():
             digits = sorted(
                 {tuple(pick.randrange(l) for l in plan.shape) for _ in range(count)}
             )
-            bins = [plan.bin_of_digits(s) for s in digits]
-            if len(digits) == count and bins[0].entries > min(b.entries for b in bins):
+            tied = [plan.bin_of_digits(s) for s in digits]
+            if len(digits) == count and tied[0].entries > min(b.entries for b in tied):
                 break
         values = 4.9 * rng.random(plan.shape) * np.exp(2j * np.pi * rng.random(plan.shape))
         for s, v in zip(digits, (3 + 4j, -5.0, 5j)):
             values[s] = v  # |v| = 5 exactly
         spectrum = _spectrum(plan, values)
-        want = min(bins, key=lambda k: k.entries)
+        want = min(tied, key=lambda k: k.entries)
         assert spectrum.peak() == reference_peak(spectrum) == want
-        assert want != bins[0]  # the first tied digit tuple loses
+        assert want != tied[0]  # the first tied digit tuple loses

@@ -330,6 +330,10 @@ def test_arithmetic_results_equal_checked_construction():
         ]
         if n == k:
             pairs.append((adjugate(am), IntMat(cofactor_adjugate(a))))
+        sf = smith(am)
+        pairs += [
+            (m, IntMat([list(r) for r in m.entries])) for m in (sf.u, sf.lam, sf.v)
+        ]
         for got, want in pairs:
             assert got == want and hash(got) == hash(want)
             flat = got.entries if isinstance(got, IntVec) else sum(got.entries, ())
