@@ -94,6 +94,21 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply") from None
+
+
+def _json_object(obj, what: str, keys=(), arrays=()) -> dict:
+    """``obj`` checked to be a JSON object that holds every key in
+    ``keys`` and, as JSON arrays, every key in ``arrays``."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    for key in (*keys, *arrays):
+        if key not in obj:
+            raise UsageError(f"{what} needs '{key}'")
+        if key in arrays and not isinstance(obj[key], list):
+            raise UsageError(f"'{key}' of {what} must be a JSON array")
+    return obj
 
 
 def parse_matrix_file(path: str) -> IntMat:
@@ -185,23 +200,20 @@ def _parse_taus(spec: str) -> list[int]:
     return list(taus)
 
 
-def _norm_arg(s: str) -> Norm:
-    return Norm.from_string(s)
+def _robust_moduli(cfg: dict) -> RobustModuli:
+    """The moduli of a robust config or case that holds 'common' and 'cofactors'."""
+    return RobustModuli(
+        _matrix_from_json(cfg["common"]),
+        [_matrix_from_json(g) for g in cfg["cofactors"]],
+    )
 
 
 def _robust_cases_from_file(path: str):
-    cfg = _load_json(path)
-    if not isinstance(cfg, dict) or "cases" not in cfg:
-        raise UsageError("config must be an object with a 'cases' array")
+    cfg = _json_object(_load_json(path), "config", arrays=("cases",))
     cases = []
     for c in cfg["cases"]:
-        if "common" not in c or "cofactors" not in c:
-            raise UsageError("each case needs 'common' and 'cofactors'")
-        rm = RobustModuli(
-            _matrix_from_json(c["common"]),
-            [_matrix_from_json(g) for g in c["cofactors"]],
-        )
-        cases.append((str(c.get("name", f"case{len(cases)}")), rm))
+        _json_object(c, "each case", ("common",), ("cofactors",))
+        cases.append((str(c.get("name", f"case{len(cases)}")), _robust_moduli(c)))
     return cases
 
 
@@ -342,9 +354,7 @@ def _cmd_mod(args) -> int:
 
 
 def _cmd_crt(args) -> int:
-    cfg = _load_json(args.system)
-    if not isinstance(cfg, dict) or "moduli" not in cfg or "remainders" not in cfg:
-        raise UsageError("system must contain 'moduli' and 'remainders'")
+    cfg = _json_object(_load_json(args.system), "system", arrays=("moduli", "remainders"))
     moduli = [_matrix_from_json(m) for m in cfg["moduli"]]
     remainders = [_vector_from_json(v) for v in cfg["remainders"]]
     system = ResidueSystem.of(moduli, remainders)
@@ -353,12 +363,10 @@ def _cmd_crt(args) -> int:
     elif args.method == "cc":
         sol = crt_cc(system)
     elif args.method == "explicit":
-        if "factors" not in cfg:
-            raise UsageError("explicit method needs 'factors'")
+        _json_object(cfg, "explicit method", arrays=("factors",))
         sol = crt_explicit(system, [_matrix_from_json(f) for f in cfg["factors"]])
     else:
-        if "u" not in cfg or "lambdas" not in cfg:
-            raise UsageError("diag method needs 'u' and 'lambdas'")
+        _json_object(cfg, "diag method", ("u",), ("lambdas",))
         sol = crt_diagonalized(
             system,
             _matrix_from_json(cfg["u"]),
@@ -376,7 +384,7 @@ def _cmd_crt(args) -> int:
 
 def _cmd_lattice(args) -> int:
     basis = parse_matrix_file(args.basis)
-    norm = _norm_arg(args.norm)
+    norm = Norm(args.norm)
     if args.mindist:
         val = min_distance(basis, norm)
         key = "min_distance_sq" if norm is Norm.L2 else "min_distance"
@@ -395,18 +403,14 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_robust(args) -> int:
-    cfg = _load_json(args.config)
-    for key in ("common", "cofactors", "rtilde"):
-        if key not in cfg:
-            raise UsageError(f"robust config needs '{key}'")
-    rm = RobustModuli(
-        _matrix_from_json(cfg["common"]),
-        [_matrix_from_json(g) for g in cfg["cofactors"]],
+    cfg = _json_object(
+        _load_json(args.config), "robust config", ("common",), ("cofactors", "rtilde")
     )
+    rm = _robust_moduli(cfg)
     rtilde = [_vector_from_json(v) for v in cfg["rtilde"]]
     u = _matrix_from_json(cfg["u1"]) if "u1" in cfg else None
     trace = recover_folding_vectors(
-        rtilde, rm, args.algorithm, _norm_arg(args.norm), u
+        rtilde, rm, args.algorithm, Norm(args.norm), u
     )
     exact, rounded = robust_reconstruct(trace, rtilde, rm)
     _print_json(
@@ -428,7 +432,7 @@ def _cmd_fig1(args) -> int:
         else default_robust_cases()
     )
     rows = robustness_sweep(
-        cases, args.taus, args.trials, args.seed, args.algorithm, _norm_arg(args.norm)
+        cases, args.taus, args.trials, args.seed, args.algorithm, Norm(args.norm)
     )
     emit_csv(
         rows,

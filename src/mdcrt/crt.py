@@ -8,16 +8,19 @@ pairwise commuting, pairwise coprime factors there is also a closed-form
 weighted sum (the matrix analogue of the classic Garner/Lagrange formula)
 whose weights can be precomputed once per modulus family and reused.
 
-Certificates and the output fundamental region are injectable: gclds and
-lcrms are only unique up to unimodular factors, so intermediate values of
-the cascade depend on which certificate is used, and callers replaying a
-worked computation can pass the exact matrices it used.
+A merge's Bezout certificate, the cascade's output region and the
+closed form's Bezout inverses are injectable: gclds and lcrms are only
+unique up to unimodular factors, so intermediate values depend on which
+certificate is used, and callers replaying a worked computation can pass
+the exact matrices it used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import matmul
 from typing import Sequence
 
 from .divisibility import (
@@ -50,7 +53,6 @@ from .residue import in_fpd, mod_reduce
 __all__ = [
     "ResidueSystem",
     "CrtSolution",
-    "MergeStep",
     "CcSolver",
     "crt_pair",
     "crt_general",
@@ -95,15 +97,6 @@ class ResidueSystem:
 
 
 @dataclass(frozen=True)
-class MergeStep:
-    """One cascade merge: raw two-congruence solution and its reduction."""
-
-    raw: IntVec
-    modulus: IntMat
-    reduced: IntVec
-
-
-@dataclass(frozen=True)
 class CrtSolution:
     """Solution vector inside the fundamental region of ``modulus``.
 
@@ -117,7 +110,6 @@ class CrtSolution:
     modulus: IntMat
     canonical: bool
     raw: IntVec
-    steps: tuple[MergeStep, ...] = field(default=())
 
 
 def crt_pair(
@@ -157,24 +149,19 @@ def crt_pair(
 def crt_general(
     system: ResidueSystem,
     modulus: IntMat | None = None,
-    certs: Sequence[BezoutCert | None] | None = None,
 ) -> CrtSolution:
     """Cascade reconstruction for arbitrary nonsingular moduli.
 
     Congruences are merged in input order, reducing after each merge; the
     final result is reduced into N(modulus). ``modulus`` must generate the
     intersection lattice of all moduli and defaults to the canonical lcrm.
-    ``certs`` optionally pins the Bezout certificate of each merge step.
     """
     entries = system.entries
-    if certs is not None and len(certs) != len(entries) - 1:
-        raise ShapeError("need exactly one certificate per merge step")
     acc_m, acc_r = entries[0]
-    steps = []
+    raw = acc_r
     for j, (mj, rj) in enumerate(entries[1:], start=1):
-        cert = certs[j - 1] if certs is not None else None
         try:
-            raw, merged = crt_pair(acc_r, acc_m, rj, mj, cert)
+            raw, merged = crt_pair(acc_r, acc_m, rj, mj)
         except InconsistentSystemError as exc:
             raise InconsistentSystemError(
                 f"congruence {j} is inconsistent with the merge of 0..{j - 1}",
@@ -182,13 +169,12 @@ def crt_general(
             ) from exc
         acc_r = mod_reduce(raw, merged).value
         acc_m = merged
-        steps.append(MergeStep(raw, merged, acc_r))
 
     if modulus is None:
         # acc_m is the canonical lcrm after any merge; a single-entry
         # system keeps its own modulus so the remainder comes back as is
         out_mod = acc_m
-        canonical = bool(steps)
+        canonical = len(entries) > 1
     else:
         if not lattices_equal(modulus, acc_m):
             raise ConditionViolatedError(
@@ -196,13 +182,11 @@ def crt_general(
             )
         out_mod = modulus
         canonical = False
-    raw_final = steps[-1].raw if steps else acc_r
     return CrtSolution(
         m=mod_reduce(acc_r, out_mod).value,
         modulus=out_mod,
         canonical=canonical,
-        raw=raw_final,
-        steps=tuple(steps),
+        raw=raw,
     )
 
 
@@ -286,11 +270,13 @@ class CcSolver:
         self.factors = factors
         self.moduli = [prefix @ f for f in factors]
 
-        product = factors[0]
-        for f in factors[1:]:
-            product = product @ f
-        self.factor_product = product
-        self.modulus = prefix @ product
+        self.factor_product = reduce(matmul, factors)
+        self.modulus = prefix @ self.factor_product
+        # other_products[i]: the product of every factor but the i-th
+        self.other_products = [
+            reduce(matmul, factors[:i] + factors[i + 1 :], IntMat.identity(dim))
+            for i in range(len(factors))
+        ]
 
         if w_hats is not None:
             self.w_hats = list(w_hats)
@@ -304,7 +290,7 @@ class CcSolver:
             self.w_hats = [
                 IntMat([[0] * dim for _ in range(dim)])
                 if is_unimodular(f)
-                else self._w_hat_for(i)
+                else _bezout_inverse(self._weight_matrix(i), self.moduli[i])
                 for i, f in enumerate(factors)
             ]
         self.weights = [
@@ -313,14 +299,7 @@ class CcSolver:
         ]
 
     def _weight_matrix(self, i: int) -> IntMat:
-        acc = self.prefix
-        for j, f in enumerate(self.factors):
-            if j != i:
-                acc = acc @ f
-        return acc
-
-    def _w_hat_for(self, i: int) -> IntMat:
-        return _bezout_inverse(self._weight_matrix(i), self.moduli[i])
+        return self.prefix @ self.other_products[i]
 
     def solve(
         self, remainders: Sequence[IntVec], tail: IntMat | None = None
@@ -345,14 +324,15 @@ def crt_explicit(
     system: ResidueSystem,
     factors: Sequence[IntMat],
     w_hats: Sequence[IntMat] | None = None,
-    tail: IntMat | None = None,
 ) -> CrtSolution:
     """Closed-form reconstruction through a commuting coprime factorization.
 
     factors[i] must left-divide the i-th modulus, the factors must be
     pairwise commuting and coprime, and their product must generate the
     same lattice as the lcrm of the moduli; each violation is reported
-    separately. The solution region is N(prod(factors) @ tail).
+    separately. The solution region is N(prod(factors)). ``w_hats``
+    replaces the computed Bezout inverses; each is checked against its
+    identity instead of the coprimality and lcrm checks.
     """
     factors = list(factors)
     if len(factors) != len(system):
@@ -369,30 +349,16 @@ def crt_explicit(
         raise ConditionViolatedError(
             "product of factors is not an lcrm of the moduli"
         )
-    return solver.solve(system.remainders, tail)
+    return solver.solve(system.remainders)
 
 
-def crt_cc(
-    system: ResidueSystem,
-    prefix: IntMat | None = None,
-    w_hats: Sequence[IntMat] | None = None,
-    tail: IntMat | None = None,
-) -> CrtSolution:
-    """Reconstruction for moduli of the form prefix @ gamma_i.
+def crt_cc(system: ResidueSystem) -> CrtSolution:
+    """Reconstruction for pairwise commuting, pairwise coprime moduli.
 
-    With the default prefix I this is the commuting-coprime special case
-    (each modulus is its own factor); with a unimodular prefix the gammas
-    are recovered by exact division and the Bezout inverses are taken
-    against the full moduli.
+    Each modulus is its own factor of the closed-form weighted sum; the
+    solution region is N(product of the moduli).
     """
-    dim = system.moduli[0].rows
-    prefix = prefix if prefix is not None else IntMat.identity(dim)
-    if not is_unimodular(prefix):
-        raise ConditionViolatedError("prefix must be unimodular")
-    pinv = inv_unimodular(prefix)
-    gammas = [pinv @ m for m in system.moduli]
-    solver = CcSolver(gammas, prefix=prefix, w_hats=w_hats)
-    return solver.solve(system.remainders, tail)
+    return CcSolver(system.moduli).solve(system.remainders)
 
 
 def scalar_crt(congruences: Sequence[tuple[int, int]]) -> int:

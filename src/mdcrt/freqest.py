@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConditionViolatedError, EnumerationCapError, ShapeError
 from .intmat import IntMat, IntVec, det, inv_unimodular, smith
-from .lattice import Norm
 from .residue import default_enum_cap, folding_vector, mod_reduce
 from .robust import (
     RobustModuli,
@@ -236,8 +235,6 @@ def estimate_frequency(
     spectra: Sequence[DftSpectrum],
     rm: RobustModuli,
     algorithm: int = 1,
-    norm: Norm = Norm.L2,
-    u: IntMat | None = None,
 ) -> FrequencyEstimate:
     """Peak detection per sampler, folding-vector recovery, averaging."""
     if len(spectra) != len(rm):
@@ -246,14 +243,15 @@ def estimate_frequency(
         if sp.plan.modulus != mi:
             raise ConditionViolatedError("spectrum/modulus order mismatch")
     rtilde = tuple(detect_remainder(sp) for sp in spectra)
-    trace = recover_folding_vectors(rtilde, rm, algorithm, norm, u)
+    trace = recover_folding_vectors(rtilde, rm, algorithm)
     exact, rounded = robust_reconstruct(trace, rtilde, rm)
     return FrequencyEstimate(rounded, exact, rtilde, trace)
 
 
-def _sigma_for_snr(snr_db: float, amplitude: complex) -> float:
+def _sigma_for_snr(snr_db: float) -> float:
+    """Noise level per component of a unit-amplitude tone at ``snr_db``."""
     try:
-        return abs(amplitude) * 10.0 ** (-snr_db / 20.0) / math.sqrt(2.0)
+        return 10.0 ** (-snr_db / 20.0) / math.sqrt(2.0)
     except OverflowError:
         raise ConditionViolatedError(
             f"noise level for {snr_db} dB overflows a float"
@@ -267,10 +265,9 @@ def snr_sweep(
     trials: int,
     seed: int,
     algorithm: int = 1,
-    norm: Norm = Norm.L2,
-    amplitude: complex = 1.0 + 0.0j,
 ) -> list[tuple[str, float, float, float]]:
-    """Detection probability and mean relative error per (case, SNR).
+    """Detection probability and mean relative error per (case, SNR) of a
+    unit-amplitude tone.
 
     Detection means every folding vector was recovered exactly. Per-trial
     generators are seeded from (seed, case index, SNR index, trial), so
@@ -284,12 +281,12 @@ def snr_sweep(
             "relative error needs a nonzero frequency with |f|^2 below 2^1022"
         )
     fnorm = math.sqrt(f2)
-    sigmas = [_sigma_for_snr(snr, amplitude) for snr in snrs_db]
+    sigmas = [_sigma_for_snr(snr) for snr in snrs_db]
     rows = []
     for ci, (name, rm) in enumerate(cases):
         truth = tuple(folding_vector(freq, mi) for mi in rm.moduli)
         for si, (snr, sigma) in enumerate(zip(snrs_db, sigmas)):
-            model = SignalModel(freq, amplitude, sigma)
+            model = SignalModel(freq, sigma=sigma)
             detected = 0
             rel_sum = 0.0
             for k in range(trials):
@@ -300,7 +297,7 @@ def snr_sweep(
                     md_dft(sample_signal(model, mi, rng), method="separable")
                     for mi in rm.moduli
                 ]
-                est = estimate_frequency(spectra, rm, algorithm, norm)
+                est = estimate_frequency(spectra, rm, algorithm)
                 if est.trace.folding_vectors == truth:
                     detected += 1
                 diff2 = sum((a - b) ** 2 for a, b in zip(freq, est.freq))

@@ -408,10 +408,6 @@ class SmithForm:
             self.lam[i, i] for i in range(r) if self.lam[i, i] != 0
         )
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
 
 def smith(a: IntMat) -> SmithForm:
     """Smith normal form of an arbitrary (possibly rectangular) matrix.

@@ -32,8 +32,9 @@ provably covers a ball around the best point found so far.
   coefficient the search keeps lies inside that box, and each level
   overshoots it at most once, so the cap bounds the work.
 
-Intended for the small dimensions of this problem domain (D <= 6 by
-default); there is deliberately no basis reduction or approximation.
+Intended for the small dimensions of this problem domain: a basis of
+more than ``MAX_ENUM_DIM`` (6) rows is rejected. There is deliberately no
+basis reduction or approximation.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class Norm(enum.Enum):
     L2 = "l2"
     LINF = "linf"
 
-    @staticmethod
-    def from_string(s: str) -> "Norm":
-        return Norm(s.lower())
-
 
 def _norm_value(diff: Sequence, norm: Norm):
     """Exact magnitude of a vector of ints/Fractions; squared for L2."""
@@ -85,15 +82,15 @@ def _norm_value(diff: Sequence, norm: Norm):
     return max(abs(x) for x in diff)
 
 
-def _check_basis(b: IntMat, max_dim: int) -> int:
+def _check_basis(b: IntMat) -> int:
     if not b.is_square:
         raise ShapeError("lattice basis must be square")
     d, _ = det_adjugate(b)
     if d == 0:
         raise SingularMatrixError("lattice basis is singular")
-    if b.rows > max_dim:
+    if b.rows > MAX_ENUM_DIM:
         raise EnumerationCapError(
-            f"dimension {b.rows} exceeds enumeration limit {max_dim}"
+            f"dimension {b.rows} exceeds enumeration limit {MAX_ENUM_DIM}"
         )
     return d
 
@@ -274,7 +271,6 @@ def _sphere_decode(
 def min_distance(
     b: IntMat,
     norm: Norm = Norm.L2,
-    max_dim: int = MAX_ENUM_DIM,
     cap: int | None = None,
 ) -> int:
     """Exact minimum over LAT(b) minus the origin.
@@ -284,7 +280,7 @@ def min_distance(
     search radius; sphere decoding around the origin, skipping it, finds
     every shorter vector.
     """
-    _check_basis(b, max_dim)
+    _check_basis(b)
     cap = default_enum_cap() if cap is None else cap
     n = b.rows
     lengths = [_norm_value(b.col(j), norm) for j in range(n)]
@@ -300,7 +296,6 @@ def cvp(
     b: IntMat,
     target: Sequence,
     norm: Norm = Norm.L2,
-    max_dim: int = MAX_ENUM_DIM,
     cap: int | None = None,
 ) -> IntVec:
     """A closest lattice point of LAT(b) to the target (ints or Fractions).
@@ -310,7 +305,7 @@ def cvp(
     compares every lattice point within the radius under the requested
     norm. Ties go to the lexicographically smallest coefficient vector.
     """
-    _check_basis(b, max_dim)
+    _check_basis(b)
     cap = default_enum_cap() if cap is None else cap
     n = b.rows
     if len(target) != n:

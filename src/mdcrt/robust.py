@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, isqrt, sqrt
+from math import floor, sqrt
 from typing import Iterator, Sequence
 
 from .crt import CcSolver
@@ -49,7 +49,7 @@ from .intmat import (
     smith,
     solve_integer,
 )
-from .lattice import Norm, _norm_value, cvp, min_distance
+from .lattice import Norm, _frac_sqrt_upper, _norm_value, cvp, min_distance
 from .residue import (
     default_enum_cap,
     folding_vector,
@@ -112,13 +112,13 @@ class RobustModuli:
     def moduli(self) -> tuple[IntMat, ...]:
         return tuple(self.common @ g for g in self.cofactors)
 
-    def cofactor_product_except(self, index: int) -> IntMat:
-        acc = None
-        for j, g in enumerate(self.cofactors):
-            if j == index:
-                continue
-            acc = g if acc is None else acc @ g
-        return IntMat.identity(self.dim) if acc is None else acc
+    def _range_region(self, index: int, u: IntMat | None) -> IntMat:
+        """Folding-vector region of the range anchored at ``index``: the
+        product of the other cofactors, times u."""
+        if not 0 <= index < len(self):
+            raise IndexError("modulus index out of range")
+        others = self._solver.other_products[index]
+        return others if u is None else others @ u
 
     @cached_property
     def smith_form(self) -> SmithForm:
@@ -278,15 +278,12 @@ def range_contains(
     m: IntVec, rm: RobustModuli, index: int = 0, u: IntMat | None = None
 ) -> bool:
     """Membership of m in the recoverable range anchored at ``index``."""
-    if not 0 <= index < len(rm):
-        raise IndexError("modulus index out of range")
-    tail = _identity(rm.dim) if u is None else u
-    region = rm.cofactor_product_except(index) @ tail
+    region = rm._range_region(index, u)  # checks the index first
     return in_fpd(folding_vector(m, rm.moduli[index]), region)
 
 
-def _max_eig_upper(s: IntMat, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
-    """Rational upper bound, within ``tol``, on the largest eigenvalue of a
+def _max_eig_upper(s: IntMat) -> Fraction:
+    """Rational upper bound, within 1e-9, on the largest eigenvalue of a
     symmetric integer matrix, found by bisection on an exact predicate.
 
     x = p/q lies above every eigenvalue iff p*I - q*s is positive
@@ -304,7 +301,7 @@ def _max_eig_upper(s: IntMat, tol: Fraction = Fraction(1, 10**9)) -> Fraction:
     while not above_all_eigenvalues(hi):
         hi += 1
     lo = Fraction(0)
-    while hi - lo > tol:
+    while hi - lo > Fraction(1, 10**9):
         mid = (hi + lo) / 2
         if above_all_eigenvalues(mid):
             hi = mid
@@ -321,9 +318,7 @@ def operator_norm_upper(a: IntMat, norm: Norm) -> Fraction:
         return Fraction(max(sum(abs(x) for x in col) for col in a.T))
     if norm is Norm.LINF:
         return Fraction(max(sum(abs(x) for x in row) for row in a))
-    lam_up = _max_eig_upper(a.T @ a)
-    num, den = lam_up.numerator, lam_up.denominator
-    return Fraction(isqrt(num * den) + 1, den)
+    return _frac_sqrt_upper(_max_eig_upper(a.T @ a))
 
 
 def error_bound_lattice(rm: RobustModuli, norm: Norm = Norm.L2) -> float:
@@ -413,11 +408,7 @@ def sample_in_range(
     residue set of the other cofactors' product and a remainder of the
     anchored modulus; both parts are sampled uniformly by Smith digits.
     """
-    if not 0 <= index < len(rm):
-        raise IndexError("modulus index out of range")
-    tail = _identity(rm.dim) if u is None else u
-    region = rm.cofactor_product_except(index) @ tail
-    n = uniform_residue(rng, region)
+    n = uniform_residue(rng, rm._range_region(index, u))
     r = uniform_residue(rng, rm.moduli[index])
     return rm.moduli[index] @ n + r
 
@@ -444,7 +435,6 @@ def robustness_trials(
     seed: int,
     algorithm: int = 1,
     norm: Norm = Norm.L2,
-    u: IntMat | None = None,
     stream: tuple[int, int] = (0, 0),
 ) -> Iterator[TrialRecord]:
     """Independent trials of draw / perturb / recover / reconstruct.
@@ -455,13 +445,13 @@ def robustness_trials(
     model = ErrorModel(tau, norm)
     for k in range(trials):
         rng = _trial_rng(seed, stream[0], stream[1], k)
-        m = sample_in_range(rng, rm, 0, u)
+        m = sample_in_range(rng, rm)
         folding_true = tuple(folding_vector(m, mi) for mi in rm.moduli)
         rtilde = tuple(
             mod_reduce(m, mi).value + sample_error(rng, model, rm.dim)
             for mi in rm.moduli
         )
-        trace = recover_folding_vectors(rtilde, rm, algorithm, norm, u)
+        trace = recover_folding_vectors(rtilde, rm, algorithm, norm)
         correct = trace.folding_vectors == folding_true
         reconstruction, _ = robust_reconstruct(trace, rtilde, rm)
         yield TrialRecord(m, folding_true, rtilde, trace, correct, reconstruction)

@@ -5,9 +5,11 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -449,3 +451,171 @@ def test_cli_contract_on_generated_numbers(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_BENCH = mat_strings([[48, 17], [8, 46]])
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["robust"], 5),
+        (["fig1", "--trials", "1", "--config"], {"cases": [5]}),
+        (["fig1", "--trials", "1", "--config"], {"cases": 5}),
+        (["freqest", "--trials", "1", "--case", "custom", "--custom-file"], {"cases": [5]}),
+        (["crt"], {"moduli": 5, "remainders": []}),
+        (["robust"], {"common": _BENCH, "cofactors": 5, "rtilde": [["1", "2"]]}),
+        (["smith"], "[" * 100_000),
+    ],
+    ids=["robust-5", "fig1-cases-[5]", "fig1-cases-5", "freqest-cases-[5]",
+         "crt-moduli-5", "robust-cofactors-5", "smith-deep-nesting"],
+)
+def test_json_of_the_wrong_shape_is_a_usage_error(tmp_path, command, payload):
+    path = tmp_path / "payload.json"
+    if isinstance(payload, str):
+        path.write_text(payload, encoding="utf-8")
+    else:
+        write_json(path, payload)
+    proc = run_cli_subprocess([*command, str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# an integer entry is a decimal string, small or huge, or a JSON integer
+_INT = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(-9, 9),
+)
+# JSON values that are not integer entries
+_NOT_INT = st.one_of(st.floats(), st.booleans(), st.none(), st.just("1.5"))
+
+
+def _rarely(draw) -> bool:
+    """True one time in ten; False is the simplest draw."""
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def _entries(draw, count):
+    """``count`` integer entries, one of them rarely of the wrong type."""
+    values = [draw(_INT) for _ in range(count)]
+    if values and _rarely(draw):
+        values[draw(st.integers(0, count - 1))] = draw(_NOT_INT)
+    return values
+
+
+@st.composite
+def _vector(draw, dim):
+    if draw(st.booleans()):
+        return ["0"] * dim  # reduced modulo every modulus
+    return draw(_entries(dim))
+
+
+@st.composite
+def _matrix(draw, dim):
+    kind = draw(st.sampled_from(
+        ["dense"] * 4 + ["diagonal"] * 3 + ["ragged", "singular", "empty"]
+    ))
+    if kind == "empty":
+        return draw(st.sampled_from([[], [[]]]))
+    if kind == "diagonal":
+        return [[str(draw(st.integers(1, 9)) * (i == j)) for j in range(dim)]
+                for i in range(dim)]
+    flat = draw(_entries(dim * dim))
+    rows = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
+    if kind == "ragged":
+        rows[-1] = rows[-1][:-1]
+    elif kind == "singular":
+        rows[-1] = list(rows[0]) if dim > 1 else ["0"]
+    return rows
+
+
+def _some(strategy, count):
+    """A JSON array of ``count`` draws, rarely one too few or too many."""
+    n = st.sampled_from([count] * 8 + [count - 1, count + 1])
+    return n.flatmap(lambda k: st.lists(strategy, min_size=k, max_size=k))
+
+
+class _File(NamedTuple):
+    """An argument that is the path of a file holding ``payload`` as JSON."""
+
+    payload: object
+
+
+@st.composite
+def _payload(draw, fields):
+    """A JSON object of ``fields`` (name -> strategy); each key is rarely
+    dropped or given a value of the wrong type, and the whole payload is
+    rarely not an object."""
+    if _rarely(draw):
+        return _File(draw(st.sampled_from([5, "x", None, []])))
+    obj = {}
+    for name, strategy in fields.items():
+        if not _rarely(draw):
+            obj[name] = draw(strategy)
+        elif draw(st.booleans()):
+            obj[name] = draw(st.sampled_from([5, "x", {}]))
+    return _File(obj)
+
+
+@st.composite
+def _crt_argv(draw):
+    dim, count = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    fields = {
+        "moduli": _some(_matrix(dim), count),
+        "remainders": _some(_vector(dim), count),
+        "factors": _some(_matrix(dim), count),
+        "u": _matrix(dim),
+        "lambdas": _some(_matrix(dim), count),
+    }
+    method = draw(st.sampled_from(["general", "cc", "explicit", "diag"]))
+    return ["crt", f"--method={method}", draw(_payload(fields))]
+
+
+@st.composite
+def _lattice_argv(draw):
+    dim = draw(st.integers(1, 7))
+    argv = ["lattice", f"--norm={draw(st.sampled_from(['l1', 'l2', 'linf']))}"]
+    argv.append(_File(draw(_matrix(dim))))
+    if draw(st.booleans()):
+        return argv + ["--mindist"]
+    target = draw(_entries(dim + _rarely(draw)))
+    if draw(st.booleans()):  # a rational entry, or one over zero
+        p, q = draw(st.integers(-99, 99)), draw(st.integers(-3, 9))
+        target[-1] = f"{p}/{q}"
+    return argv + ["--cvp", _File(target)]
+
+
+@st.composite
+def _robust_argv(draw):
+    dim, count = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    fields = {
+        "common": _matrix(dim),
+        "cofactors": _some(_matrix(dim), count),
+        "rtilde": _some(_vector(dim), count),
+        "u1": _matrix(dim),
+    }
+    algorithm = draw(st.sampled_from([1, 2]))
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    return ["robust", f"--algorithm={algorithm}", f"--norm={norm}", draw(_payload(fields))]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True, database=None)
+@given(argv=st.one_of(_crt_argv(), _lattice_argv(), _robust_argv()))
+def test_cli_contract_on_generated_payloads(argv):
+    """JSON payloads of every shape exit 0, 1 or 2 without an escaping
+    exception; exit 2 comes with one JSON error object on stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [
+            write_json(Path(tmp) / f"{i}.json", a.payload) if isinstance(a, _File) else a
+            for i, a in enumerate(argv)
+        ]
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "code" in json.loads(err.getvalue())["error"]

@@ -162,6 +162,27 @@ def test_crt_general_single_entry():
     assert sol.modulus == M_II
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("supplied", [False, True], ids=["lcrm", "supplied"])
+def test_crt_general_raw_and_canonical(count, supplied):
+    """``raw`` is the last merge's unreduced value (the remainder itself
+    for one congruence); ``canonical`` holds only for a merged system
+    reduced modulo the canonical lcrm."""
+    full = _system_for(M_II, IntVec([285, 505]))
+    sys_ = ResidueSystem(full.entries[:count])
+    modulus = lcrm_list(sys_.moduli) @ IntMat([[1, 1], [0, 1]]) if supplied else None
+    sol = crt_general(sys_, modulus=modulus)
+
+    acc_m, acc_r = sys_.entries[0]
+    raw = acc_r
+    for mj, rj in sys_.entries[1:]:
+        raw, acc_m = crt_pair(acc_r, acc_m, rj, mj)
+        acc_r = mod_reduce(raw, acc_m).value
+    assert sol.raw == raw
+    assert sol.canonical is (count > 1 and not supplied)
+    assert sol.m == mod_reduce(raw, sol.modulus).value
+
+
 def test_crt_general_order_invariance():
     sys_ = _system_for(M_II, IntVec([285, 505]))
     forward = crt_general(sys_)
