@@ -68,6 +68,8 @@ def _matrix_from_json(obj) -> IntMat:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise UsageError("matrix must be a JSON array of rows")
     width = len(obj[0])
+    if not width:
+        raise UsageError("matrix rows must be nonempty")
     for i, row in enumerate(obj):
         if len(row) != width:
             raise UsageError(f"ragged row {i}: expected {width} entries, got {len(row)}")

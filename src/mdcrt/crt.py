@@ -1,12 +1,14 @@
 """Reconstruction of an integer vector from remainders under matrix moduli.
 
 Two routes are provided. The general cascade merges two congruences at a
-time through gcld Bezout certificates and carries the partial solution
-modulo a least common right multiple; it works for arbitrary nonsingular
-moduli and detects inconsistent systems exactly. For moduli built from
-pairwise commuting, pairwise coprime factors there is also a closed-form
-weighted sum (the matrix analogue of the classic Garner/Lagrange formula)
-whose weights can be precomputed once per modulus family and reused.
+time and carries the partial solution modulo a least common right
+multiple; it works for arbitrary nonsingular moduli and detects
+inconsistent systems exactly. Each merge reads the gcld cofactor, the
+consistency test with its quotient, and the lcrm off one Smith form of
+the block (m1 | m2). For moduli built from pairwise commuting, pairwise
+coprime factors there is also a closed-form weighted sum (the matrix
+analogue of the classic Garner/Lagrange formula) whose weights can be
+precomputed once per modulus family and reused.
 
 A merge's Bezout certificate, the cascade's output region and the
 closed form's Bezout inverses are injectable: gclds and lcrms are only
@@ -25,6 +27,9 @@ from typing import Sequence
 
 from .divisibility import (
     BezoutCert,
+    _block_smith,
+    _intersection,
+    _v_block,
     commutes,
     gcld,
     is_left_coprime,
@@ -119,17 +124,35 @@ def crt_pair(
     m2: IntMat,
     cert: BezoutCert | None = None,
 ) -> tuple[IntVec, IntMat]:
-    """Solve a two-congruence system; returns (solution, lcrm).
+    """Solve a two-congruence system; returns (solution, canonical lcrm).
 
     The solution is r1 + m1 p (l^{-1} (r2 - r1)) for a Bezout certificate
     (l, p, q) of the pair, left unreduced. The divisibility of r2 - r1 by
     the gcld is exactly the consistency criterion; its failure raises.
+
+    Without a certificate every quantity comes from one Smith form
+    u @ (m1 | m2) @ v == (lam | 0): p is the top-left D x D block of v;
+    since l == u^{-1} lam, l^{-1} (r2 - r1) is the diagonal division
+    lam^{-1} u (r2 - r1), integral exactly when the system is consistent;
+    and the top-right block kx of v spans the kernel's x-part, so m1 kx
+    generates LAT(m1) & LAT(m2).
+
     A caller-provided certificate is used verbatim (intermediates depend
     on it) after checking it really certifies a gcld: the Bezout identity
-    plus common left divisibility already imply greatestness.
+    plus common left divisibility already imply greatestness. The
+    quotient then comes from solve_integer and the modulus from lcrm.
     """
     if cert is None:
-        cert = gcld(m1, m2, canonical=False)
+        d = m1.rows
+        sf = _block_smith(m1, m2)
+        p, kx = _v_block(sf.v, 0, 0, d), _v_block(sf.v, 0, 1, d)
+        y = sf.u @ (r2 - r1)
+        lam = sf.invariant_factors
+        x = (
+            None
+            if any(e % g for e, g in zip(y, lam))
+            else IntVec._of(tuple(e // g for e, g in zip(y, lam)))
+        )
     else:
         if m1 @ cert.p + m2 @ cert.q != cert.l:
             raise ConditionViolatedError("certificate identity does not hold")
@@ -137,13 +160,14 @@ def crt_pair(
             raise ConditionViolatedError(
                 "certificate is not a common left divisor"
             )
-    u = solve_integer(cert.l, r2 - r1)
-    if u is None:
+        p = cert.p
+        x = solve_integer(cert.l, r2 - r1)
+    if x is None:
         raise InconsistentSystemError(
             "r2 - r1 is not divisible by the gcld of the moduli"
         )
-    solution = r1 + (m1 @ cert.p) @ u
-    return solution, lcrm(m1, m2)
+    solution = r1 + (m1 @ p) @ x
+    return solution, (_intersection(m1 @ kx) if cert is None else lcrm(m1, m2))
 
 
 def crt_general(

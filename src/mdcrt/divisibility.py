@@ -19,9 +19,9 @@ from math import gcd
 from .errors import ConditionViolatedError, ShapeError, SingularMatrixError
 from .intmat import (
     IntMat,
+    SmithForm,
     det,
     exact_left_quotient,
-    inv_unimodular,
     is_unimodular,
     smith,
 )
@@ -68,6 +68,31 @@ def _check_nonsingular(*ms: IntMat) -> None:
             raise SingularMatrixError("nonsingular matrix required")
 
 
+def _block_smith(m: IntMat, n: IntMat) -> SmithForm:
+    """Smith form of the D x 2D block (m | n) of two nonsingular D x D
+    matrices; v's D x D blocks hold the gcld cofactors (left column) and
+    an integer kernel basis of (m | n) (right column)."""
+    _check_nonsingular(m, n)
+    if m.shape != n.shape:
+        raise ShapeError("matrix shapes differ")
+    return smith(IntMat.hstack(m, n))
+
+
+def _v_block(v: IntMat, i: int, j: int, d: int) -> IntMat:
+    """The (i, j) D x D block of a 2D x 2D matrix."""
+    return IntMat._of(
+        tuple(row[j * d : (j + 1) * d] for row in v.entries[i * d : (i + 1) * d])
+    )
+
+
+def _intersection(c: IntMat, canonical: bool = True) -> IntMat:
+    """The lcrm spanned by c == m @ kx, kx the x-part of an integer
+    kernel basis of (m | n) or of (m | -n)."""
+    if det(c) == 0:
+        raise SingularMatrixError("intersection lattice is degenerate")
+    return hermite_canonical(c) if canonical else c
+
+
 def left_divides(a: IntMat, m: IntMat) -> bool:
     return exact_left_quotient(a, m) is not None
 
@@ -107,7 +132,7 @@ def hermite_canonical(a: IntMat) -> IntMat:
             if q:
                 for row in h:
                     row[j] -= q * row[i]
-    return IntMat(h)
+    return IntMat._of(tuple(map(tuple, h)))
 
 
 @dataclass(frozen=True)
@@ -131,20 +156,16 @@ class GcrdCert:
 def gcld(m: IntMat, n: IntMat, canonical: bool = True) -> BezoutCert:
     """gcld of two nonsingular matrices with its Bezout certificate.
 
-    The Smith form of the D x 2D block (m | n) gives the divisor as
-    u^{-1} @ lam and the cofactors as the top and bottom left D x D blocks
-    of v. The certificate survives canonicalization because a right
-    unimodular factor can be pushed into both cofactors.
+    The Smith form u @ (m | n) @ v == (lam | 0) gives the cofactors as
+    the top and bottom left D x D blocks of v, and the divisor as the
+    Bezout combination m @ p + n @ q, which equals u^{-1} @ lam. The
+    certificate survives canonicalization because a right unimodular
+    factor can be pushed into both cofactors.
     """
-    _check_nonsingular(m, n)
-    if m.shape != n.shape:
-        raise ShapeError("matrix shapes differ")
     d = m.rows
-    sf = smith(IntMat.hstack(m, n))
-    lam_block = IntMat([[sf.lam[i, j] for j in range(d)] for i in range(d)])
-    l = inv_unimodular(sf.u) @ lam_block
-    p = IntMat([[sf.v[i, j] for j in range(d)] for i in range(d)])
-    q = IntMat([[sf.v[i + d, j] for j in range(d)] for i in range(d)])
+    v = _block_smith(m, n).v
+    p, q = _v_block(v, 0, 0, d), _v_block(v, 1, 0, d)
+    l = m @ p + n @ q
     if canonical:
         h = hermite_canonical(l)
         w = exact_left_quotient(l, h)
@@ -165,17 +186,10 @@ def lcrm(m: IntMat, n: IntMat, canonical: bool = True) -> IntMat:
     form; m times the x-part of the kernel basis generates the
     intersection lattice exactly.
     """
-    _check_nonsingular(m, n)
-    if m.shape != n.shape:
-        raise ShapeError("matrix shapes differ")
     d = m.rows
-    sf = smith(IntMat.hstack(m, -n))
     # kernel basis = last d columns of v (the zero columns of (lam | 0))
-    kx = IntMat([[sf.v[i, j + d] for j in range(d)] for i in range(d)])
-    c = m @ kx
-    if det(c) == 0:
-        raise SingularMatrixError("intersection lattice is degenerate")
-    return hermite_canonical(c) if canonical else c
+    kx = _v_block(_block_smith(m, -n).v, 0, 1, d)
+    return _intersection(m @ kx, canonical)
 
 
 def lclm(m: IntMat, n: IntMat, canonical: bool = True) -> IntMat:

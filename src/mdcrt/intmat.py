@@ -354,7 +354,7 @@ def solve_integer(a: IntMat, v: IntVec) -> IntVec | None:
     y = adj @ v
     if any(e % d for e in y):
         return None
-    return IntVec(e // d for e in y)
+    return IntVec._of(tuple(e // d for e in y))
 
 
 def exact_left_quotient(a: IntMat, m: IntMat) -> IntMat | None:
@@ -365,7 +365,7 @@ def exact_left_quotient(a: IntMat, m: IntMat) -> IntMat | None:
     x = adj @ m
     if any(e % d for row in x for e in row):
         return None
-    return IntMat((e // d for e in row) for row in x)
+    return IntMat._of(tuple(tuple(e // d for e in row) for row in x))
 
 
 def is_unimodular(a: IntMat) -> bool:

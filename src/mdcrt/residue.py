@@ -72,7 +72,7 @@ def mod_reduce(m: IntVec, modulus: IntMat) -> Residue:
         if rem:
             raise AssertionError("non-integral residue; broken invariant")
         value.append(q)
-    return Residue(modulus, IntVec(value))
+    return Residue(modulus, IntVec._of(tuple(value)))
 
 
 def folding_vector(m: IntVec, modulus: IntMat) -> IntVec:

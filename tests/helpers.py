@@ -7,9 +7,11 @@ box, closest and shortest lattice vectors come from sweeping the whole
 coefficient box around a rational Babai seed, and the L2 operator norm
 bisects on the characteristic polynomial, and the multidimensional DFT
 is the direct O(|det|^2) sum over every (bin, point) pair with exactly
-reduced integer phases. Two oracles reuse package primitives along a
-different route: the remainder through the rational floor, and
-folding-vector recovery re-anchored by permuting the moduli.
+reduced integer phases. Four oracles reuse package primitives along a
+different route: the remainder through the rational floor,
+folding-vector recovery re-anchored by permuting the moduli, the gcld
+divisor through the inverted Smith row transform, and the CRT cascade
+through gcld certificates, solve_integer and lcrm.
 """
 
 from __future__ import annotations
@@ -343,6 +345,64 @@ def recover_by_reordering(rtilde, rm, algorithm, norm, u=None, ref=0):
         factor_residues=back(trace.factor_residues),
         aggregate=trace.aggregate,
         folding_vectors=back(trace.folding_vectors),
+    )
+
+
+def gcld_by_inverse(m: IntMat, n: IntMat, canonical: bool = True):
+    """gcld certificate with the divisor read as inv(u) @ lam from the
+    Smith form of (m | n); oracle for gcld's Bezout combination."""
+    from mdcrt import BezoutCert, hermite_canonical, inv_unimodular, smith
+    from mdcrt.intmat import exact_left_quotient
+
+    d = m.rows
+    sf = smith(IntMat([list(a) + list(b) for a, b in zip(m, n)]))
+    lam = IntMat([[sf.lam[i, j] for j in range(d)] for i in range(d)])
+    l = inv_unimodular(sf.u) @ lam
+    p = IntMat([[sf.v[i, j] for j in range(d)] for i in range(d)])
+    q = IntMat([[sf.v[i + d, j] for j in range(d)] for i in range(d)])
+    if canonical:
+        h = hermite_canonical(l)
+        w = exact_left_quotient(l, h)
+        l, p, q = h, p @ w, q @ w
+    return BezoutCert(l, p, q)
+
+
+def cascade_crt(system, modulus=None):
+    """crt_general along the route through a gcld certificate: each merge
+    solves l x = r_j - r with solve_integer and takes its modulus from
+    lcrm. Oracle for the merges read off one Smith form."""
+    from mdcrt import (
+        ConditionViolatedError,
+        CrtSolution,
+        InconsistentSystemError,
+        gcld,
+        lattices_equal,
+        lcrm,
+        mod_reduce,
+        solve_integer,
+    )
+
+    acc_m, acc_r = system.entries[0]
+    raw = acc_r
+    for j, (mj, rj) in enumerate(system.entries[1:], start=1):
+        cert = gcld(acc_m, mj, canonical=False)
+        x = solve_integer(cert.l, rj - acc_r)
+        if x is None:
+            raise InconsistentSystemError(f"congruence {j}", index=j)
+        raw = acc_r + acc_m @ (cert.p @ x)
+        acc_m = lcrm(acc_m, mj)
+        acc_r = mod_reduce(raw, acc_m).value
+    if modulus is None:
+        out_mod, canonical = acc_m, len(system) > 1
+    elif lattices_equal(modulus, acc_m):
+        out_mod, canonical = modulus, False
+    else:
+        raise ConditionViolatedError("modulus does not span the intersection")
+    return CrtSolution(
+        m=mod_reduce(acc_r, out_mod).value,
+        modulus=out_mod,
+        canonical=canonical,
+        raw=raw,
     )
 
 

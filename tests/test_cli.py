@@ -261,6 +261,81 @@ def test_csv_bytes_match_golden_digest(tmp_path, capsys, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[key]
 
 
+# Inputs from the README: the library sketch's circulants G_k and moduli
+# [[4,3],[3,4]] @ G_k with the remainders of m = (328, 288), and the
+# default fig1 sampler [[48,17],[8,46]] times its two cofactors.
+_SKETCH = [[[13, 8], [8, 13]], [[40, 37], [37, 40]], [[10, 18], [18, 10]]]
+_CIRCULANTS = [[[4, -1], [-1, 4]], [[7, 4], [4, 7]], [[-2, 6], [6, -2]]]
+_SAMPLERS = [[[99, 161], [146, 70]], [[212, 243], [208, 170]]]
+_DIVISOR_PAIRS = [_SKETCH[:2], _CIRCULANTS[:2], _SAMPLERS]
+_CRT_SYSTEMS = {
+    "general": {"moduli": _SKETCH, "remainders": [[14, 14], [39, 38], [14, 14]]},
+    "cc": {"moduli": _CIRCULANTS, "remainders": [[2, 2], [6, 5], [2, 2]]},
+    "explicit": {
+        "moduli": _SKETCH,
+        "remainders": [[14, 14], [39, 38], [14, 14]],
+        "factors": [_SKETCH[0], *_CIRCULANTS[1:]],
+    },
+    "diag": {
+        "moduli": [[[4, 3], [2, 3]], [[6, 2], [3, 2]]],
+        "remainders": [[4, 3], [1, 1]],
+        "u": [[2, 1], [1, 1]],
+        "lambdas": [[[2, 0], [0, 3]], [[3, 0], [0, 2]]],
+    },
+}
+
+
+def _strings(obj):
+    return [_strings(x) for x in obj] if isinstance(obj, list) else str(obj)
+
+
+def cli_output_bytes(tmp_path, key) -> bytes:
+    """Standard output of the CLI runs behind one GOLDEN_CLI key."""
+    if key[0] == "crt":
+        cfg = {k: _strings(v) for k, v in _CRT_SYSTEMS[key[1]].items()}
+        runs = [["crt", write_json(tmp_path / "sys.json", cfg), "--method", key[1]]]
+    else:
+        runs = [
+            [
+                key[0],
+                write_json(tmp_path / f"a{i}.json", _strings(a)),
+                write_json(tmp_path / f"b{i}.json", _strings(b)),
+                *key[1:],
+            ]
+            for i, (a, b) in enumerate(_DIVISOR_PAIRS)
+        ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for argv in runs:
+            assert main(argv) == 0
+    return out.getvalue().encode()
+
+
+# SHA-256 of the JSON the CLI prints for exact results, taken at 576401b:
+# every certificate byte of gcld/gcrd, the canonical and raw bases of
+# lcrm/lclm, and each crt method's solution and modulus.
+GOLDEN_CLI = {
+    ("crt", "general"): "32d095c1f2857c1c1662c454eb512567ef5924b8a30baf72c9cf94376148dcf8",
+    ("crt", "cc"): "eb2d8d348ae8171fad80dac7c0f0e6f501339a2fc7832fbc3a83a153497e16e5",
+    ("crt", "explicit"): "49886467818e3f30314f9c0a123c2a68fa89cc3cf5a6fe00f236a3b27d798b10",
+    ("crt", "diag"): "8f7305b5fba74b57604f5d147db51cff4289c7418d44a5323e747de47fd08588",
+    ("gcld",): "e817761c862d70d35c2f2a0cb3f759cab4fe4710e95b67504593d3970df9fe71",
+    ("gcld", "--raw"): "4a290cdcaf66ab5ca4c0e94421c16ccfc32586873e461be48ba8019abae68e87",
+    ("gcrd",): "a4b49170c1f1538b5ac5e15ef220b8e1664b1af07280118f282f19707f479dee",
+    ("gcrd", "--raw"): "776346d0365110204bc9f68dc130ad6ab54582e29c1dc4129f6dc6cdde2fad86",
+    ("lcrm",): "179616960447e4c24c47bb61da16c17a1e556ee6526c84143abfc6dc276241aa",
+    ("lcrm", "--raw"): "843680322b4bb3fbb0ff6674dd327de41cf4e12ed9f95327d7ff5a6466014ab9",
+    ("lclm",): "87ba89d6889de12981408f2bf540268498d280c3b53dfea49ceaf13fcd2bd1c7",
+    ("lclm", "--raw"): "81461996df765868f62323007d16e1b89cb4d91ff7aa137d1da949efd68af1cf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CLI), ids="".join)
+def test_cli_json_bytes_match_golden_digest(tmp_path, key):
+    digest = hashlib.sha256(cli_output_bytes(tmp_path, key)).hexdigest()
+    assert digest == GOLDEN_CLI[key]
+
+
 def test_freqest_csv(tmp_path, capsys):
     out = tmp_path / "f.csv"
     code = main(
@@ -477,6 +552,23 @@ def test_json_of_the_wrong_shape_is_a_usage_error(tmp_path, command, payload):
     else:
         write_json(path, payload)
     proc = run_cli_subprocess([*command, str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rows", [[[]], [[], []]], ids=["[[]]", "[[],[]]"])
+@pytest.mark.parametrize("command", ["smith", "lattice", "crt"])
+def test_empty_matrix_rows_are_a_usage_error(tmp_path, command, rows):
+    """A matrix of empty rows is malformed input, like the empty array."""
+    path = tmp_path / "m.json"
+    if command == "crt":
+        write_json(path, {"moduli": [rows], "remainders": [["1"]]})
+        argv = ["crt", str(path)]
+    else:
+        write_json(path, rows)
+        argv = [command, str(path)] + (["--mindist"] if command == "lattice" else [])
+    proc = run_cli_subprocess(argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr

@@ -1,13 +1,16 @@
 import random
+from types import ModuleType
 
 import pytest
 
+import mdcrt
 from mdcrt import (
     BezoutCert,
     ConditionViolatedError,
     InconsistentSystemError,
     IntMat,
     IntVec,
+    MdcrtError,
     ResidueSystem,
     crt_cc,
     crt_diagonalized,
@@ -26,7 +29,13 @@ from mdcrt import (
     solve_integer,
     uniform_residue,
 )
-from helpers import random_coprime_circulants, random_nonsingular
+from helpers import (
+    cascade_crt,
+    random_coprime_circulants,
+    random_nonsingular,
+    random_unimodular,
+    random_vector,
+)
 
 M_I = IntMat([[4, 3], [3, 4]])
 M_II = IntMat([[2, 3], [4, 5]])
@@ -115,6 +124,110 @@ def test_crt_pair_rejects_bogus_certificate():
     )
     with pytest.raises(ConditionViolatedError):
         crt_pair(r1, m1, r2, m2, cert=not_divisor)
+
+
+def _outcome(fn):
+    """fn()'s value, or the class of the domain error it raised."""
+    try:
+        return fn()
+    except MdcrtError as exc:
+        return type(exc)
+
+
+def _random_moduli(rng, n, count):
+    """count moduli of dimension n: random, sharing a left factor,
+    identical or unimodular."""
+    kind = rng.choice(["random", "shared", "identical", "unimodular"])
+    if kind == "unimodular":
+        return [random_unimodular(rng, n) if rng.random() < 0.7
+                else random_nonsingular(rng, n, -5, 5) for _ in range(count)]
+    left = IntMat.identity(n) if kind == "random" else random_nonsingular(rng, n, -3, 3)
+    mods = [left @ random_nonsingular(rng, n, -4, 4) for _ in range(count)]
+    return [mods[0]] * count if kind == "identical" else mods
+
+
+def _remainders(rng, mods):
+    """Remainders of one vector, or (one time in two) of independent ones,
+    which are inconsistent whenever the moduli share a proper divisor."""
+    m = random_vector(rng, mods[0].rows, -10**4, 10**4)
+    independent = rng.random() < 0.5
+    return [
+        mod_reduce(random_vector(rng, x.rows, -10**4, 10**4) if independent else m, x).value
+        for x in mods
+    ]
+
+
+def test_crt_pair_smith_route_matches_certified_route():
+    """Without a certificate, crt_pair reads the cofactor, the quotient and
+    the lcrm off one Smith form; with the raw gcld certificate it runs
+    solve_integer and lcrm. Both give the same solution and modulus, or
+    raise the same error."""
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(240):
+        n = rng.randint(1, 4)
+        m1, m2 = _random_moduli(rng, n, 2)
+        r1, r2 = _remainders(rng, [m1, m2])
+        fast = _outcome(lambda: crt_pair(r1, m1, r2, m2))
+        cert = gcld(m1, m2, canonical=False)
+        slow = _outcome(lambda: crt_pair(r1, m1, r2, m2, cert=cert))
+        assert fast == slow
+        seen.add(fast if isinstance(fast, type) else "solved")
+    assert seen == {"solved", InconsistentSystemError}
+
+
+def test_crt_general_matches_cascade_oracle():
+    """crt_general agrees with the cascade through gcld certificates on
+    solution, modulus, raw value, canonical flag and offending index."""
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(160):
+        n = rng.randint(1, 4)
+        mods = _random_moduli(rng, n, rng.randint(1, 4))
+        sys_ = ResidueSystem.of(mods, _remainders(rng, mods))
+        modulus = None
+        if rng.random() < 0.3:
+            modulus = (
+                IntMat.identity(n)
+                if rng.random() < 0.3
+                else lcrm_list(mods) @ random_unimodular(rng, n)
+            )
+        try:
+            want = cascade_crt(sys_, modulus)
+        except MdcrtError as exc:
+            with pytest.raises(type(exc)) as got:
+                crt_general(sys_, modulus)
+            assert getattr(got.value, "index", None) == getattr(exc, "index", None)
+            seen.add(type(exc))
+            continue
+        sol = crt_general(sys_, modulus)
+        assert (sol.m, sol.modulus, sol.raw, sol.canonical) == (
+            want.m, want.modulus, want.raw, want.canonical
+        )
+        seen.add("solved")
+    assert seen == {"solved", InconsistentSystemError, ConditionViolatedError}
+
+
+def test_crt_general_merges_with_one_smith_form_each(monkeypatch):
+    """A consistent three-congruence cascade makes one Smith form per merge
+    and no gcld, lcrm or solve_integer call."""
+    sys_ = _system_for(M_II, IntVec([285, 505]))
+    calls = dict.fromkeys(["smith", "gcld", "lcrm", "solve_integer"], 0)
+    modules = [m for m in vars(mdcrt).values() if isinstance(m, ModuleType)]
+    for name in calls:
+        orig = getattr(mdcrt, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    sol = crt_general(sys_)
+    assert sol.m == mod_reduce(IntVec([285, 505]), sol.modulus).value
+    assert calls == {"smith": 2, "gcld": 0, "lcrm": 0, "solve_integer": 0}
 
 
 def test_crt_general_scalar_case_matches_scalar_solver():

@@ -23,6 +23,7 @@ from mdcrt import (
     left_divides,
 )
 from helpers import (
+    gcld_by_inverse,
     random_nonsingular,
     random_unimodular,
     run_bezout_invariants,
@@ -99,6 +100,19 @@ def test_gcld_scalar_coprime_diagonals():
 def test_gcld_rejects_singular():
     with pytest.raises(SingularMatrixError):
         gcld(IntMat([[1, 2], [2, 4]]), IntMat.identity(2))
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+def test_gcld_matches_inverse_oracle(canonical):
+    """The divisor m @ p + n @ q equals inv(u) @ lam of the same Smith
+    form, so l, p and q all agree with the oracle that inverts u."""
+    rng = random.Random(89)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        left = random_nonsingular(rng, n, -3, 3) if rng.random() < 0.5 else IntMat.identity(n)
+        m1 = left @ random_nonsingular(rng, n, -6, 6)
+        m2 = m1 if rng.random() < 0.1 else left @ random_nonsingular(rng, n, -6, 6)
+        assert gcld(m1, m2, canonical=canonical) == gcld_by_inverse(m1, m2, canonical)
 
 
 def test_gcrd_examples():

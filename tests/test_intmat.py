@@ -12,17 +12,20 @@ from mdcrt import (
     SingularMatrixError,
     adjugate,
     det,
+    hermite_canonical,
     inv_rational,
     inv_unimodular,
     is_unimodular,
+    mod_reduce,
     smith,
     solve_integer,
 )
-from mdcrt.intmat import det_adjugate
+from mdcrt.intmat import det_adjugate, exact_left_quotient
 from helpers import (
     cofactor_adjugate,
     cofactor_det,
     minors_gcd_invariant_factors,
+    mod_reduce_floor,
     random_matrix,
     random_nonsingular,
     random_unimodular,
@@ -330,6 +333,14 @@ def test_arithmetic_results_equal_checked_construction():
         ]
         if n == k:
             pairs.append((adjugate(am), IntMat(cofactor_adjugate(a))))
+        if n == k and cofactor_det(a):
+            h = hermite_canonical(am)
+            pairs += [
+                (exact_left_quotient(am, am @ cm), IntMat(c)),
+                (solve_integer(am, am @ xv), IntVec(x)),
+                (mod_reduce(xv, am).value, IntVec(list(mod_reduce_floor(xv, am)))),
+                (h, IntMat([list(r) for r in h.entries])),
+            ]
         sf = smith(am)
         pairs += [
             (m, IntMat([list(r) for r in m.entries])) for m in (sf.u, sf.lam, sf.v)
