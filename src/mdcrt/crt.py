@@ -331,10 +331,8 @@ class CcSolver:
         """Weighted-sum solution reduced into N(modulus @ tail)."""
         if len(remainders) != len(self.factors):
             raise ShapeError("one remainder per congruence required")
-        dim = self.modulus.rows
-        raw = IntVec.zero(dim)
-        for w, r in zip(self.weights, remainders):
-            raw = raw + w @ r
+        products = [(w @ r).entries for w, r in zip(self.weights, remainders)]
+        raw = IntVec._of(tuple(map(sum, zip(*products))))
         out_mod = self.modulus if tail is None else self.modulus @ tail
         return CrtSolution(
             m=mod_reduce(raw, out_mod).value,

@@ -90,7 +90,7 @@ def _intersection(c: IntMat, canonical: bool = True) -> IntMat:
     kernel basis of (m | n) or of (m | -n)."""
     if det(c) == 0:
         raise SingularMatrixError("intersection lattice is degenerate")
-    return hermite_canonical(c) if canonical else c
+    return _hermite(c) if canonical else c
 
 
 def left_divides(a: IntMat, m: IntMat) -> bool:
@@ -106,6 +106,11 @@ def hermite_canonical(a: IntMat) -> IntMat:
     result that is unique only up to a right unimodular factor.
     """
     _check_nonsingular(a)
+    return _hermite(a)
+
+
+def _hermite(a: IntMat) -> IntMat:
+    """hermite_canonical of a matrix already checked to be nonsingular."""
     n = a.rows
     h = [list(row) for row in a]
 

@@ -274,6 +274,8 @@ def snr_sweep(
     the output is schedule independent. Rows are
     (case, snr_db, p_detect, mean relative L2 error).
     """
+    if trials < 1:
+        raise ConditionViolatedError(f"trials must be at least 1, got {trials}")
     f2 = sum(x * x for x in freq)
     # |f - estimate|^2 <= 2|f|^2 + 2|estimate|^2 must also convert to float
     if not 0 < f2 <= sys.float_info.max / 4:

@@ -10,7 +10,9 @@ The determinant and the adjugate come together from one fraction-free
 only singular input falls back to cofactor expansion, since a rank n-1
 matrix still has a nonzero adjugate. The public constructors check every
 entry; results of arithmetic on already-checked values are built through
-the unchecked ``_of`` constructors.
+the unchecked ``_of`` constructors. Matrix products compute each dot
+product as ``sum(map(mul, row, col))``, the cheapest exact form for the
+small dimensions here; the lattice and residue kernels use the same one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularMatrixError
@@ -106,10 +109,6 @@ class IntVec:
     def __repr__(self) -> str:
         return f"IntVec({list(self._e)!r})"
 
-    @staticmethod
-    def zero(dim: int) -> "IntVec":
-        return IntVec([0] * dim)
-
 
 class IntMat:
     """Immutable integer matrix in row-major order."""
@@ -174,16 +173,14 @@ class IntMat:
             if self.cols != other.dim:
                 raise ShapeError("matrix/vector dimensions differ")
             e = other._e
-            return IntVec._of(
-                tuple(sum(a * b for a, b in zip(row, e)) for row in self._r)
-            )
+            return IntVec._of(tuple(sum(map(mul, row, e)) for row in self._r))
         if isinstance(other, IntMat):
             if self.cols != other.rows:
                 raise ShapeError("matrix dimensions differ")
             cols = tuple(zip(*other._r))
             return IntMat._of(
                 tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                    tuple(sum(map(mul, row, col)) for col in cols)
                     for row in self._r
                 )
             )

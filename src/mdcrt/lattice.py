@@ -8,7 +8,8 @@ provably covers a ball around the best point found so far.
   decomposition once (cached), scaled to integers, so that the squared
   L2 distance from b @ c to a rational target, times a fixed integer, is
   an integer quadratic form in c with one term per Gram-Schmidt
-  direction.
+  direction. A target of plain ints is used as it is; any other goes
+  through ``Fraction``. Dot products use the kernel of ``intmat``.
 - Babai seed. Nearest-plane rounding, from level n-1 down to 0, gives a
   seed point. Its distance d under the requested norm fixes the first
   search radius: the L2 ball of squared radius d (L2, where distances
@@ -43,6 +44,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import EnumerationCapError, ShapeError, SingularMatrixError
@@ -95,12 +97,16 @@ def _check_basis(b: IntMat) -> int:
     return d
 
 
-def _frac_sqrt_upper(x: Fraction) -> Fraction:
-    """A rational t with t >= sqrt(x), for x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    return Fraction(isqrt(n * d) + 1, d)
+def _sqrt_upper(n: int, d: int) -> tuple[int, int]:
+    """Lowest terms (p, q), q > 0, of a rational p / q >= sqrt(n / d), for
+    n >= 0 and d > 0: (isqrt(n d) + 1) / d with n / d in lowest terms."""
+    if n <= 0:
+        return 0, 1
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    s = isqrt(n * d) + 1
+    g = gcd(s, d)
+    return s // g, d // g
 
 
 class _GramSchmidt(NamedTuple):
@@ -152,7 +158,7 @@ def _gram_schmidt(b: IntMat) -> _GramSchmidt:
 
 def _project(gs: _GramSchmidt, tq: Sequence[int]) -> list[int]:
     """<tq, w[k]> for every level k."""
-    return [sum(x * y for x, y in zip(tq, wk)) for wk in gs.w]
+    return [sum(map(mul, tq, wk)) for wk in gs.w]
 
 
 def _babai(gs: _GramSchmidt, tq: Sequence[int], q: int) -> list[int]:
@@ -163,7 +169,8 @@ def _babai(gs: _GramSchmidt, tq: Sequence[int], q: int) -> list[int]:
     c = [0] * n
     for k in reversed(range(n)):
         row = gs.g[k]
-        e = tw[k] - q * sum(row[j] * c[j] for j in range(k + 1, n))
+        # c[j] is still 0 for j <= k, so the full row sums levels above k
+        e = tw[k] - q * sum(map(mul, row, c))
         qg = q * row[k]
         c[k] = (2 * e + qg) // (2 * qg)
     return c
@@ -171,10 +178,7 @@ def _babai(gs: _GramSchmidt, tq: Sequence[int], q: int) -> list[int]:
 
 def _scaled_diff(b: IntMat, c: Sequence[int], tq: Sequence[int], q: int):
     """q * (b @ c - t), an integer vector, for t = tq / q."""
-    return [
-        q * sum(x * y for x, y in zip(row, c)) - t
-        for row, t in zip(b.entries, tq)
-    ]
+    return [q * sum(map(mul, row, c)) - t for row, t in zip(b.entries, tq)]
 
 
 def _check_box(b: IntMat, tq: Sequence[int], q: int, r2: int, cap: int) -> None:
@@ -184,18 +188,18 @@ def _check_box(b: IntMat, tq: Sequence[int], q: int, r2: int, cap: int) -> None:
 
     Coefficient i of a point in the ball lies within t_i = sqrt(r2 * s2)
     / (q |d|) of u_i = (adj @ tq)_i / (q d), where s2 is the squared norm
-    of row i of adj(b); t_i is rounded up to a rational. Every range holds
-    a coefficient of a point in the ball, so the running product never
-    shrinks and no range is swept.
+    of row i of adj(b); t_i is rounded up to a rational tn / td. Every
+    range holds a coefficient of a point in the ball, so the running
+    product never shrinks and no range is swept.
     """
     d, adj = det_adjugate(b)
     qd = q * d
     total = 1
     for row in adj.entries:
-        u = sum(x * y for x, y in zip(row, tq))
-        t = _frac_sqrt_upper(Fraction(r2 * sum(x * x for x in row), qd * qd))
-        den = qd * t.denominator
-        centre, reach = u * t.denominator, t.numerator * abs(qd)
+        u = sum(map(mul, row, tq))
+        tn, td = _sqrt_upper(r2 * sum(map(mul, row, row)), qd * qd)
+        den = qd * td
+        centre, reach = u * td, tn * abs(qd)
         if den < 0:
             den, centre = -den, -centre
         total *= (centre + reach) // den + (reach - centre) // den + 1
@@ -310,9 +314,12 @@ def cvp(
     n = b.rows
     if len(target) != n:
         raise ShapeError("target dimension does not match the basis")
-    t = [Fraction(x) for x in target]
-    q = lcm(*(x.denominator for x in t))
-    tq = [x.numerator * (q // x.denominator) for x in t]
+    if all(type(x) is int for x in target):
+        q, tq = 1, list(target)
+    else:
+        t = [Fraction(x) for x in target]
+        q = lcm(*(x.denominator for x in t))
+        tq = [int(x.numerator) * (q // x.denominator) for x in t]
 
     gs = _gram_schmidt(b)
     coeffs = _babai(gs, tq, q)
@@ -324,7 +331,7 @@ def cvp(
         # seed, so the seed is the unique closest once 2r is below that
         if 4 * r2 * gs.m >= q * q * gs.gmin:
             _, coeffs = _sphere_decode(b, tq, q, norm, val, tuple(coeffs))
-    return b @ IntVec(coeffs)
+    return b @ IntVec._of(tuple(coeffs))
 
 
 def lattices_equal(b1: IntMat, b2: IntMat) -> bool:

@@ -15,6 +15,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConditionViolatedError, EnumerationCapError, SingularMatrixError
 from .intmat import IntMat, IntVec, det_adjugate, inv_unimodular, smith
@@ -66,9 +67,8 @@ def mod_reduce(m: IntVec, modulus: IntMat) -> Residue:
     d, adj = _reduce_ctx(modulus)
     y = [e % d for e in adj @ m]
     value = []
-    for row in modulus:
-        num = sum(a * b for a, b in zip(row, y))
-        q, rem = divmod(num, d)
+    for row in modulus.entries:
+        q, rem = divmod(sum(map(mul, row, y)), d)
         if rem:
             raise AssertionError("non-integral residue; broken invariant")
         value.append(q)

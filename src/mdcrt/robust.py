@@ -49,7 +49,7 @@ from .intmat import (
     smith,
     solve_integer,
 )
-from .lattice import Norm, _frac_sqrt_upper, _norm_value, cvp, min_distance
+from .lattice import Norm, _norm_value, _sqrt_upper, cvp, min_distance
 from .residue import (
     default_enum_cap,
     folding_vector,
@@ -176,11 +176,10 @@ def _recover(
         raise ShapeError("one erroneous remainder per modulus required")
     if not 0 <= ref < len(rm):
         raise IndexError("reference index out of range")
-    tail = _identity(rm.dim) if u is None else u
-    if not is_unimodular(tail):
+    if u is not None and not is_unimodular(u):
         raise ConditionViolatedError("range transform must be unimodular")
     solver = rm.smith_solver(col)
-    zero = IntVec.zero(rm.dim)
+    zero = IntVec._of((0,) * rm.dim)
     points, coeffs, residues = [zero] * len(rm), [zero] * len(rm), [zero] * len(rm)
     for i, r in enumerate(rtilde):
         if i != ref:
@@ -188,7 +187,7 @@ def _recover(
             coeffs[i] = solve_integer(lam, points[i])
             assert coeffs[i] is not None
             residues[i] = mod_reduce(coeffs[i], solver.moduli[i]).value
-    aggregate = solver.solve(residues, tail=tail).m
+    aggregate = solver.solve(residues, tail=u).m
     foldings = []
     for modulus, t in zip(solver.moduli, coeffs):
         n = solve_integer(modulus, aggregate - t)
@@ -318,7 +317,8 @@ def operator_norm_upper(a: IntMat, norm: Norm) -> Fraction:
         return Fraction(max(sum(abs(x) for x in col) for col in a.T))
     if norm is Norm.LINF:
         return Fraction(max(sum(abs(x) for x in row) for row in a))
-    return _frac_sqrt_upper(_max_eig_upper(a.T @ a))
+    x = _max_eig_upper(a.T @ a)
+    return Fraction(*_sqrt_upper(x.numerator, x.denominator))
 
 
 def error_bound_lattice(rm: RobustModuli, norm: Norm = Norm.L2) -> float:
@@ -359,7 +359,8 @@ def robust_reconstruct(
         est = rm.moduli[i] @ trace.folding_vectors[i] + rtilde[i]
         totals = [t + e for t, e in zip(totals, est)]
     average = tuple(Fraction(t, count) for t in totals)
-    rounded = IntVec(floor(f + Fraction(1, 2)) for f in average)
+    # floor(t / count + 1/2), on ints
+    rounded = IntVec._of(tuple((2 * t + count) // (2 * count) for t in totals))
     return average, rounded
 
 
@@ -396,7 +397,7 @@ def sample_error(rng: random.Random, model: ErrorModel, dim: int) -> IntVec:
     """Uniform draw from the integer ball of radius tau."""
     ball = _error_ball(Fraction(model.tau), model.norm, dim)
     k = rng.randrange(len(ball) // dim)
-    return IntVec(ball[k * dim : (k + 1) * dim])
+    return IntVec._of(tuple(ball[k * dim : (k + 1) * dim]))
 
 
 def sample_in_range(
@@ -470,18 +471,22 @@ def robustness_sweep(
     Deterministic for a given seed under any evaluation schedule; rows
     are (case, tau, mean L2 error, success rate).
     """
+    if trials < 1:
+        raise ConditionViolatedError(f"trials must be at least 1, got {trials}")
     rows = []
     for ci, (name, rm) in enumerate(cases):
+        count = len(rm)
         for ti, tau in enumerate(taus):
             total_err = 0.0
             hits = 0
             for rec in robustness_trials(
                 rm, tau, trials, seed, algorithm, norm, stream=(ci, ti)
             ):
-                err2 = sum(
-                    (Fraction(a) - b) ** 2
+                # every reconstruction entry is a multiple of 1 / count
+                err2 = Fraction(sum(
+                    (a * count - b.numerator * (count // b.denominator)) ** 2
                     for a, b in zip(rec.m, rec.reconstruction)
-                )
+                ), count * count)
                 total_err += sqrt(float(err2))
                 hits += rec.correct
             rows.append((name, tau, total_err / trials, hits / trials))

@@ -11,7 +11,10 @@ reduced integer phases. Four oracles reuse package primitives along a
 different route: the remainder through the rational floor,
 folding-vector recovery re-anchored by permuting the moduli, the gcld
 divisor through the inverted Smith row transform, and the CRT cascade
-through gcld certificates, solve_integer and lcrm.
+through gcld certificates, solve_integer and lcrm. The slow routes that
+fast paths replaced stay here too: the generator-expression matrix
+product, the Fraction-rounded CVP box count, Fraction rounding and the
+Fraction-sum squared error of the sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -404,6 +409,84 @@ def cascade_crt(system, modulus=None):
         canonical=canonical,
         raw=raw,
     )
+
+
+def matmul_genexpr(a: IntMat, other):
+    """a @ other with each dot product as a generator of pairwise
+    products; oracle for the map-based kernel of IntMat.__matmul__."""
+    if isinstance(other, IntVec):
+        return IntVec(sum(x * y for x, y in zip(row, other)) for row in a)
+    cols = list(zip(*other.entries))
+    return IntMat(
+        [sum(x * y for x, y in zip(row, col)) for col in cols] for row in a
+    )
+
+
+def check_box_fraction(b: IntMat, tq, q: int, r2: int, cap: int) -> int:
+    """The coefficient box count of lattice._check_box, with each reach
+    rounded up through Fraction; returns the count. Oracle for the int
+    route of _check_box, raising the same error at the same row."""
+    from mdcrt import EnumerationCapError
+    from mdcrt.intmat import det_adjugate
+
+    d, adj = det_adjugate(b)
+    qd = q * d
+    total = 1
+    for row in adj.entries:
+        u = sum(x * y for x, y in zip(row, tq))
+        f = Fraction(r2 * sum(x * x for x in row), qd * qd)
+        t = Fraction(isqrt(f.numerator * f.denominator) + 1, f.denominator) if f else f
+        den = qd * t.denominator
+        centre, reach = u * t.denominator, t.numerator * abs(qd)
+        if den < 0:
+            den, centre = -den, -centre
+        total *= (centre + reach) // den + (reach - centre) // den + 1
+        if total > cap:
+            raise EnumerationCapError(
+                f"enumeration box of {total} points exceeds cap {cap}"
+            )
+    return total
+
+
+def round_half_up(f: Fraction) -> int:
+    """floor(f + 1/2); oracle for the integer rounding in robust_reconstruct."""
+    return math.floor(f + Fraction(1, 2))
+
+
+def err2_fraction(m, reconstruction) -> Fraction:
+    """Squared L2 error as a sum of Fraction squares; oracle for the
+    single-Fraction error of robustness_sweep."""
+    return sum((Fraction(a) - b) ** 2 for a, b in zip(m, reconstruction))
+
+
+class CallCounter:
+    """Context manager counting calls of the given functions, however they
+    were imported, through sys.setprofile. ``counts[name]`` holds the
+    calls of the function under ``name``; ``IntMat.__matmul__`` calls are
+    counted as "matvec" or "matmat" by the type of the right operand."""
+
+    def __init__(self, **functions):
+        self._names = {f.__code__: name for name, f in functions.items()}
+        self.counts = Counter()
+
+    def _profile(self, frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in self._names:
+            self.counts[self._names[code]] += 1
+        elif code is IntMat.__matmul__.__code__:
+            other = frame.f_locals["other"]
+            self.counts["matmat" if isinstance(other, IntMat) else "matvec"] += 1
+
+    def __enter__(self):
+        self._previous = sys.getprofile()
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(self._previous)
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 import mdcrt
 from mdcrt.cli import emit_csv, main, parse_matrix_file
-from mdcrt import IntMat
+from mdcrt import (
+    IntMat,
+    IntVec,
+    Norm,
+    RobustModuli,
+    circulant2_coprime,
+    recover_folding_vectors,
+    robust_reconstruct,
+)
 
 
 def write_json(path, obj):
@@ -680,6 +689,23 @@ def _lattice_argv(draw):
     return argv + ["--cvp", _File(target)]
 
 
+def _circulant_robust_config(rng: random.Random) -> dict:
+    """A robust config whose 1 to 3 cofactors are nonsingular 2x2
+    circulants that pass circulant2_coprime pairwise (circulants always
+    commute), so that most such configs are valid and recover."""
+    pairs: list[tuple[int, int]] = []
+    count = rng.randint(1, 3)
+    while len(pairs) < count:
+        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+        if abs(p) != abs(q) and all(circulant2_coprime(p, q, *pq) for pq in pairs):
+            pairs.append((p, q))
+    return {
+        "common": mat_strings([[rng.randint(-60, 60) for _ in range(2)] for _ in range(2)]),
+        "cofactors": [mat_strings([[p, q], [q, p]]) for p, q in pairs],
+        "rtilde": [[str(rng.randint(-99, 99)) for _ in range(2)] for _ in pairs],
+    }
+
+
 @st.composite
 def _robust_argv(draw):
     dim, count = draw(st.integers(1, 7)), draw(st.integers(1, 3))
@@ -689,9 +715,13 @@ def _robust_argv(draw):
         "rtilde": _some(_vector(dim), count),
         "u1": _matrix(dim),
     }
+    circulants = st.randoms(use_true_random=False).map(
+        lambda rng: _File(_circulant_robust_config(rng))
+    )
     algorithm = draw(st.sampled_from([1, 2]))
     norm = draw(st.sampled_from(["l1", "l2", "linf"]))
-    return ["robust", f"--algorithm={algorithm}", f"--norm={norm}", draw(_payload(fields))]
+    payload = draw(st.one_of(_payload(fields), circulants))
+    return ["robust", f"--algorithm={algorithm}", f"--norm={norm}", payload]
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True, database=None)
@@ -711,3 +741,32 @@ def test_cli_contract_on_generated_payloads(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "code" in json.loads(err.getvalue())["error"]
+
+
+def test_generated_circulant_payloads_recover(tmp_path):
+    """Of 20 seeded circulant payloads at least one recovers (exit 0), and
+    every printed reconstruction equals a direct robust_reconstruct."""
+    recovered = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        cfg = _circulant_robust_config(rng)
+        algorithm, norm = rng.choice([1, 2]), rng.choice(list(Norm))
+        path = write_json(tmp_path / f"{seed}.json", cfg)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["robust", f"--algorithm={algorithm}", f"--norm={norm.value}", path])
+        assert code in (0, 2), err.getvalue()
+        if code:
+            continue
+        recovered += 1
+        rm = RobustModuli(
+            IntMat([[int(x) for x in row] for row in cfg["common"]]),
+            [IntMat([[int(x) for x in row] for row in g]) for g in cfg["cofactors"]],
+        )
+        rtilde = [IntVec([int(x) for x in v]) for v in cfg["rtilde"]]
+        trace = recover_folding_vectors(rtilde, rm, algorithm, norm)
+        exact, rounded = robust_reconstruct(trace, rtilde, rm)
+        printed = json.loads(out.getvalue())
+        assert printed["reconstruction"] == [str(x) for x in rounded]
+        assert printed["reconstruction_exact"] == [str(f) for f in exact]
+    assert recovered >= 1

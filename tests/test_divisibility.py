@@ -22,7 +22,9 @@ from mdcrt import (
     lcrm_list,
     left_divides,
 )
+from mdcrt import divisibility, intmat
 from helpers import (
+    CallCounter,
     gcld_by_inverse,
     random_nonsingular,
     random_unimodular,
@@ -226,3 +228,22 @@ def test_unimodular_factors_do_not_change_results():
         w = random_unimodular(rng, 2)
         assert lattices_equal(a, a @ w)
         assert hermite_canonical(a) == hermite_canonical(a @ w)
+
+
+def test_hermite_core_matches_hermite_canonical():
+    """The unchecked Hermite core that the lcrm intersection calls equals
+    the checked public form on nonsingular matrices of dimension 1 to 4."""
+    rng = random.Random(89)
+    for _ in range(200):
+        a = random_nonsingular(rng, rng.randint(1, 4))
+        assert divisibility._hermite(a) == hermite_canonical(a)
+
+
+def test_lcrm_takes_one_det_per_intersection():
+    """lcrm checks the determinants of its two inputs and of the
+    intersection basis, each once."""
+    m, n = IntMat([[4, 1], [0, 3]]), IntMat([[2, 1], [1, 5]])
+    lcrm(m, n)
+    with CallCounter(det=intmat.det) as calls:
+        lcrm(m, n)
+    assert calls.counts["det"] == 3

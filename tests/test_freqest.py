@@ -324,3 +324,9 @@ def test_peak_ties_break_to_smallest_bin_vector():
         want = min(tied, key=lambda k: k.entries)
         assert spectrum.peak() == reference_peak(spectrum) == want
         assert want != tied[0]  # the first tied digit tuple loses
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_snr_sweep_needs_a_trial(trials):
+    with pytest.raises(ConditionViolatedError, match="trials"):
+        snr_sweep(IntVec([1645, 1373]), default_sweep_cases(), [-20.0], trials, seed=1)

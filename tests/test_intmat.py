@@ -24,6 +24,7 @@ from mdcrt.intmat import det_adjugate, exact_left_quotient
 from helpers import (
     cofactor_adjugate,
     cofactor_det,
+    matmul_genexpr,
     minors_gcd_invariant_factors,
     mod_reduce_floor,
     random_matrix,
@@ -349,3 +350,23 @@ def test_arithmetic_results_equal_checked_construction():
             assert got == want and hash(got) == hash(want)
             flat = got.entries if isinstance(got, IntVec) else sum(got.entries, ())
             assert all(type(e) is int for e in flat)
+
+
+def test_matmul_matches_genexpr_product():
+    """The map-based dot product of IntMat @ against the generator
+    product, on vectors and on non-square matrices with entries up to
+    2^70 of either sign."""
+    rng = random.Random(71)
+    big = 2**70
+    for _ in range(300):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        lo, hi = rng.choice([(-9, 9), (-big, big), (-big, -big + 9)])
+        a = IntMat([[rng.randint(lo, hi) for _ in range(k)] for _ in range(r)])
+        b = IntMat([[rng.randint(lo, hi) for _ in range(c)] for _ in range(k)])
+        x = IntVec([rng.randint(lo, hi) for _ in range(k)])
+        for got, want in ((a @ b, matmul_genexpr(a, b)), (a @ x, matmul_genexpr(a, x))):
+            assert got == want
+            flat = got.entries if isinstance(got, IntVec) else sum(got.entries, ())
+            assert all(type(e) is int for e in flat)
+        with pytest.raises(ShapeError):
+            a @ IntVec([1] * (k + 1))

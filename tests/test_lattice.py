@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdcrt import lattice
@@ -26,6 +27,7 @@ from helpers import (
     babai_coeffs,
     box_cvp,
     box_min_distance,
+    check_box_fraction,
     gram_schmidt_norms2,
     random_nonsingular,
     random_unimodular,
@@ -377,3 +379,61 @@ def test_lattice_member():
     m = IntVec([1645, 1373])
     diff = mod_reduce(m, m2).value - mod_reduce(m, m1).value
     assert lattice_member(common, diff)
+
+
+def _scaled_target(rng, n, rational):
+    """(tq, q) with tq / q a random int or Fraction target."""
+    if not rational:
+        return [rng.randint(-300, 300) for _ in range(n)], 1
+    t = [Fraction(rng.randint(-300, 300), rng.randint(1, 12)) for _ in range(n)]
+    q = math.lcm(*(x.denominator for x in t))
+    return [x.numerator * (q // x.denominator) for x in t], q
+
+
+@pytest.mark.parametrize("norm", list(Norm), ids=lambda n: n.value)
+def test_check_box_matches_fraction_route(norm):
+    """The int-rounded box count of _check_box against the Fraction
+    route: the same count (it passes at that cap and
+    raises just below it) and the same message at the same row."""
+    rng = random.Random(73)
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        b = random_nonsingular(rng, n, -12, 12)
+        tq, q = _scaled_target(rng, n, rational=trial % 2 == 1)
+        gs = lattice._gram_schmidt(b)
+        coeffs = lattice._babai(gs, tq, q)
+        val = lattice._norm_value(lattice._scaled_diff(b, coeffs, tq, q), norm)
+        # a radius at least the seed's holds a lattice point, so no range
+        # of the box is empty and the running count never falls
+        seed_r2 = lattice._search_radius2(val, norm, n)
+        for r2 in (seed_r2, seed_r2 + rng.randint(0, 10**6)):
+            total = check_box_fraction(b, tq, q, r2, math.inf)
+            lattice._check_box(b, tq, q, r2, total)
+            with pytest.raises(EnumerationCapError) as want:
+                check_box_fraction(b, tq, q, r2, total - 1)
+            with pytest.raises(EnumerationCapError) as got:
+                lattice._check_box(b, tq, q, r2, total - 1)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("norm", list(Norm), ids=lambda n: n.value)
+def test_cvp_int_target_matches_fraction_target(norm):
+    """The int-target route of cvp (denominator 1, no Fraction) against
+    the Fraction route on the same target; numpy ints take the Fraction
+    route and agree too."""
+    def outcome(b, t):
+        try:
+            return cvp(b, t, norm)
+        except EnumerationCapError as exc:  # both routes size the same box
+            return str(exc)
+
+    rng = random.Random(79)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        b = random_nonsingular(rng, n, -12, 12)
+        t = [rng.randint(-500, 500) for _ in range(n)]
+        got = outcome(b, t)
+        assert got == outcome(b, [Fraction(x) for x in t])
+        assert got == outcome(b, np.array(t, dtype=np.int64))
+        if isinstance(got, IntVec):
+            assert all(type(e) is int for e in got)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from mdcrt import (
     SmithForm,
     circulant2_coprime,
     cvp,
+    default_robust_cases,
     error_bound_lattice,
     error_bound_smith,
     folding_vector,
@@ -35,7 +37,18 @@ from mdcrt import (
     sample_error,
     sample_in_range,
 )
-from helpers import charpoly_operator_norm_l2, random_matrix, recover_by_reordering
+from mdcrt import intmat, lattice, residue
+from mdcrt.robust import RobustTrace
+from helpers import (
+    CallCounter,
+    charpoly_operator_norm_l2,
+    err2_fraction,
+    random_coprime_circulants,
+    random_matrix,
+    random_nonsingular,
+    recover_by_reordering,
+    round_half_up,
+)
 
 BENCH = IntMat([[48, 17], [8, 46]])
 COFS = [IntMat([[1, 3], [3, 1]]), IntMat([[3, 4], [4, 3]])]
@@ -513,3 +526,84 @@ def test_robustness_trials_error_bounded_on_success():
             (Fraction(a) - b) ** 2 for a, b in zip(rec.m, rec.reconstruction)
         )
         assert err2 <= 144
+
+
+def test_rounded_matches_floor_of_half_up():
+    """The integer rounding (2 t + count) // (2 count) of
+    robust_reconstruct against floor(t / count + 1/2), for 1 to 4 moduli
+    and totals of either sign."""
+    rng = random.Random(83)
+    for count in range(1, 5):
+        for _ in range(40):
+            rm = RobustModuli(
+                random_nonsingular(rng, 2, -9, 9), random_coprime_circulants(rng, count)
+            )
+            folds = tuple(IntVec([rng.randint(-3, 3) for _ in range(2)]) for _ in range(count))
+            rtilde = [IntVec([rng.randint(-200, 200) for _ in range(2)]) for _ in range(count)]
+            zero = IntVec([0, 0])
+            trace = RobustTrace((zero,) * count, (zero,) * count, zero, folds)
+            average, rounded = robust_reconstruct(trace, rtilde, rm)
+            totals = [
+                sum(e) for e in zip(*(g @ n + r for g, n, r in zip(rm.moduli, folds, rtilde)))
+            ]
+            assert average == tuple(Fraction(t, count) for t in totals)
+            assert rounded == IntVec(round_half_up(f) for f in average)
+            assert all(type(e) is int for e in rounded)
+
+
+@pytest.mark.parametrize("algorithm,norm", [(1, Norm.L2), (2, Norm.L1), (1, Norm.LINF)])
+def test_sweep_error_matches_fraction_squares(algorithm, norm):
+    """The sweep's mean error, from one Fraction per trial, equals the mean
+    of the sums of Fraction squares to the last bit, with 2 and 3 moduli."""
+    three = RobustModuli(BENCH, COFS + [IntMat([[1, 2], [2, 1]])])
+    cases = default_robust_cases() + [("three", three)]
+    taus, trials = [0, 6, 14, 30], 5
+    rows = robustness_sweep(cases, taus, trials, 17, algorithm, norm)
+    want = []
+    for ci, (name, rm) in enumerate(cases):
+        for ti, tau in enumerate(taus):
+            recs = list(robustness_trials(rm, tau, trials, 17, algorithm, norm, (ci, ti)))
+            err = sum(math.sqrt(float(err2_fraction(r.m, r.reconstruction))) for r in recs)
+            want.append((name, tau, err / trials, sum(r.correct for r in recs) / trials))
+    assert rows == want
+    assert any(row[2] for row in rows)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_robustness_sweep_needs_a_trial(trials):
+    with pytest.raises(ConditionViolatedError, match="trials"):
+        robustness_sweep(default_robust_cases(), [0, 8], trials, seed=1)
+
+
+def test_trial_path_makes_no_det_and_no_matrix_product():
+    """After warm-up, one algorithm-1 L2 trial of each default case runs
+    no determinant (no check of an identity range transform) and no
+    matrix-matrix product (no modulus @ I), with the public calls of the
+    trial path unchanged."""
+    for name, rm in default_robust_cases():
+        robustness_sweep([(name, rm)], [4], 1, seed=5)
+        with CallCounter(
+            det=intmat.det,
+            cvp=lattice.cvp,
+            solve_integer=intmat.solve_integer,
+            mod_reduce=residue.mod_reduce,
+            folding_vector=residue.folding_vector,
+        ) as calls:
+            robustness_sweep([(name, rm)], [4], 1, seed=6)
+        assert calls.counts["det"] == 0
+        assert calls.counts["matmat"] == 0
+        assert calls.counts["cvp"] == 1
+        assert calls.counts["solve_integer"] == 3
+        assert calls.counts["mod_reduce"] == 6
+        assert calls.counts["folding_vector"] == 2
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_supplied_range_transform_must_be_unimodular(algorithm):
+    """Only a supplied u is checked, and a non-unimodular one still raises."""
+    rm = bench_case()
+    rtilde = [IntVec([0, 0]), IntVec([0, 0])]
+    with pytest.raises(ConditionViolatedError, match="unimodular"):
+        recover_folding_vectors(rtilde, rm, algorithm, u=IntMat([[2, 0], [0, 1]]))
+    with_u = recover_folding_vectors(rtilde, rm, algorithm, u=IntMat.identity(2))
+    assert with_u == recover_folding_vectors(rtilde, rm, algorithm)
